@@ -5,7 +5,7 @@ polynomials, and stabilization series."""
 
 from .laurent import LaurentPoly
 from .braid import BraidWord, QMatrix2, burau_generator, qmod_generator, rho3
-from .cfrac import EvenCF, Frac, classical_matrix, enumerate_fractions, from_cf, to_even_cf
+from .cfrac import EvenCF, Frac, classical_matrix, enumerate_fractions, to_even_cf
 from .qrational import (QRational, burau_column_check, jones, mirror_negate,
                         q_deform, q_integer, q_one_over_n, reflect)
 from .rootloc import annulus_check, rl_power_roots, roots, sigma_sample

@@ -38,8 +38,6 @@ class Frac:
             if self.r != 1:
                 raise ValueError("infinity must be written 1/0")
             return
-        if (self.r, self.s) == (0, 0):
-            raise ValueError("0/0 is not a fraction")
         if math.gcd(abs(self.r), self.s) != 1:
             raise ValueError("%d/%d is not in lowest terms" % (self.r, self.s))
 
@@ -129,12 +127,6 @@ def cf_value(a):
     for q in reversed(a):
         r, s = q * r + s, r
     return Frac.of(r, s)
-
-
-def from_cf(cf):
-    """First column of the classical matrix M+(a) as a fraction."""
-    (p, _), (q, _) = classical_matrix(cf)
-    return Frac.of(p, q)
 
 
 def classical_matrix(cf):

@@ -84,6 +84,8 @@ def cmd_sigma(args):
 
 
 def cmd_specialize(args):
+    if args.max_den < 2:
+        raise UsageError("--max-den must be >= 2")
     try:
         point = parse_point(args.t0)
     except ValueError as exc:
@@ -120,6 +122,10 @@ def _parse_int_list(text):
 
 
 def cmd_stabilize(args):
+    if args.order < 1:
+        raise UsageError("--order must be >= 1")
+    if args.radius_m and args.radius_m < 2:
+        raise UsageError("--radius-m must be 0 (off) or >= 2")
     try:
         cf = PeriodicCF(_parse_int_list(args.preperiod),
                         _parse_int_list(args.period))

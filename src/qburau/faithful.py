@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as _QQ
 
-from .laurent import LaurentPoly, ONE
+from .laurent import LaurentPoly
 from .braid import BraidWord, QMatrix2, rho3
 from .cfrac import Frac, enumerate_fractions
 from .qrational import q_deform
-from .rootloc import INNER_PROVEN, OUTER_PROVEN
+from .rootloc import INNER_PROVEN, OUTER_PROVEN, roots
 
 ANNULUS_MARGIN = 1e-9
 WITNESS_TOL = 1e-8
@@ -184,30 +184,11 @@ def classify_specialization(t0, max_den=40):
             continue
         scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
         if abs(den.eval_complex(q0)) / scale < WITNESS_TOL:
-            confirmed = _newton_confirm(den, q0)
-            if confirmed is not None:
+            root = min(roots(den), key=lambda w: abs(w - q0))
+            if abs(root - q0) < 1e-4:
                 return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=frac,
-                               root=confirmed)
+                               root=root)
     return Verdict(NO_WITNESS_UP_TO, max_den=max_den)
-
-
-def _newton_confirm(den, q0, steps=50):
-    """Newton-refine q0 to a nearby root of den; None if it drifts away."""
-    dcoeffs = [(den.low + i) * c for i, c in enumerate(den.coeffs)]
-    deriv = LaurentPoly.make(den.low - 1, dcoeffs)
-    z = q0
-    for _ in range(steps):
-        dv = deriv.eval_complex(z)
-        if dv == 0:
-            return None
-        step = den.eval_complex(z) / dv
-        z -= step
-        if abs(step) < 1e-14 * (1 + abs(z)):
-            break
-    scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
-    if abs(den.eval_complex(z)) / scale < 1e-12 and abs(z - q0) < 1e-4:
-        return z
-    return None
 
 
 # ---------------------------------------------------------------------------

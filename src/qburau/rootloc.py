@@ -2,15 +2,17 @@
 q-rationals, sampling of the singular set, and the annulus consistency
 report.
 
-The kernel is Aberth-Ehrlich simultaneous iteration with a short Newton
-polish, on double-precision copies of the exact integer coefficients.
-Initial guesses use fixed pseudo-random phases so runs are deterministic.
+The kernel takes the eigenvalues of the companion matrix of the real
+double-precision copy of the exact integer coefficients (``np.roots``, a
+LAPACK eigensolve, backward stable by Edelman and Murakami, Math. Comp.
+64, 1995).  Real coefficients make complex roots come in exact conjugate
+pairs.  There is no iteration and no polish; every root must pass the
+scaled-residual gate, which fails closed on NaN and inf.
 """
 from __future__ import annotations
 
 import csv
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +21,6 @@ from .cfrac import enumerate_fractions
 from .qrational import q_deform
 from .braid import qmod_generator
 
-SEED = 1717
-MAX_ITER = 200
-POLISH_STEPS = 3
 RESIDUAL_TOL = 1e-10
 
 INNER_PROVEN = 3 - 2 * math.sqrt(2)       # 0.171572875254...
@@ -31,73 +30,54 @@ OUTER_CONJ = (3 + math.sqrt(5)) / 2       # 2.618033988750...
 
 
 class NoConvergence(ArithmeticError):
-    """Iteration cap reached with residual above tolerance."""
-
-
-def _horner(coeffs, z):
-    """Vectorized Horner evaluation; coeffs ascending, z an ndarray."""
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    """A root misses the scaled-residual gate, or is not finite."""
 
 
 def _residuals(coeffs, z):
-    """|p(z)| scaled by max|coeff| * (deg+1) * max(1,|z|)^deg.
+    """|p(z)| / (max|coeff| * (deg+1) * max(1,|z|)^deg) for each z.
 
-    The magnitude factor keeps the test meaningful for roots outside the
-    unit circle, where double-precision evaluation of p itself carries
-    roundoff proportional to |z|^deg; for roots inside the closed unit
-    disk this reduces to plain leading-coefficient scaling.
+    coeffs are ascending and scaled to max|coeff| = 1.  The magnitude
+    factor keeps the test meaningful for roots outside the unit circle,
+    where double-precision evaluation of p carries roundoff proportional
+    to |z|^deg.  There the same quantity is |rev p(1/z)| / (deg+1), the
+    reversed polynomial at 1/z, so no power of |z| is formed and the value
+    cannot overflow.  A NaN root gives a NaN residual.
     """
-    deg = len(coeffs) - 1
-    scale = np.max(np.abs(coeffs)) * len(coeffs) \
-        * np.maximum(1.0, np.abs(z)) ** deg
-    return np.abs(_horner(coeffs, z)) / scale
+    out = np.empty(len(z))
+    inner = np.abs(z) <= 1.0
+    out[inner] = np.abs(np.polyval(coeffs[::-1], z[inner]))
+    out[~inner] = np.abs(np.polyval(coeffs, 1.0 / z[~inner]))
+    return out / len(coeffs)
 
 
-def roots(p, tol=RESIDUAL_TOL):
-    """All roots of p with q^low stripped, multiplicities by repetition.
-
-    Aberth-Ehrlich simultaneous iteration, then a short Newton polish.
-    Each root satisfies |p(z)| <= tol * max|coeff| * (deg+1) *
-    max(1,|z|)^deg; raises NoConvergence otherwise.
-    """
+def _solve(p, tol):
+    """Roots of p with q^low stripped, sorted by (real, imag), and their
+    scaled residuals; raises NoConvergence unless every residual <= tol."""
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
     # strip the monomial factor; scale coefficients into float range
     scale = max(abs(c) for c in p.coeffs)
-    coeffs = np.array([c / scale for c in p.coeffs], dtype=complex)
+    coeffs = np.array([c / scale for c in p.coeffs], dtype=float)
+    z = np.roots(coeffs[::-1]).astype(complex)
+    z = z[np.lexsort((z.imag, z.real))]
+    res = _residuals(coeffs, z)
     deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    dcoeffs = coeffs[1:] * np.arange(1, deg + 1)
-    # initial guesses on a circle, deterministic pseudo-random phases
-    radius = max(abs(c / coeffs[-1]) for c in coeffs[:-1]) ** (1.0 / deg)
-    rng = random.Random(SEED)
-    phases = np.array([(k + rng.random()) / deg for k in range(deg)])
-    z = radius * np.exp(2j * math.pi * phases)
-    for _ in range(MAX_ITER):
-        pv = _horner(coeffs, z)
-        dv = _horner(dcoeffs, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        rep = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * rep
-        denom = np.where(denom == 0, 1.0, denom)
-        step = newton / denom
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-    for _ in range(POLISH_STEPS):
-        dv = _horner(dcoeffs, z)
-        safe = dv != 0
-        z = np.where(safe, z - _horner(coeffs, z) / np.where(safe, dv, 1), z)
-    if np.any(_residuals(coeffs, z) > tol):
-        raise NoConvergence("root residual above %.1e for %s" % (tol, p))
-    return sorted((complex(w) for w in z), key=lambda w: (w.real, w.imag))
+    if len(z) != deg or not (np.all(np.isfinite(z)) and np.all(res <= tol)):
+        raise NoConvergence(
+            "worst scaled root residual %.1e above %.1e at degree %d for %s"
+            % (np.max(res, initial=0.0), tol, deg, p))
+    return [complex(w) for w in z], res
+
+
+def roots(p, tol=RESIDUAL_TOL):
+    """All roots of p with q^low stripped, multiplicities by repetition,
+    sorted by (real, imag).
+
+    Each root satisfies |p(z)| <= tol * max|coeff| * (deg+1) *
+    max(1,|z|)^deg; raises NoConvergence otherwise, also when a root is
+    NaN or inf.
+    """
+    return _solve(p, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -135,14 +115,11 @@ def sigma_sample(max_den, tol=RESIDUAL_TOL):
             if len(poly.coeffs) <= 1:
                 continue
             try:
-                zs = roots(poly, tol)
+                zs, res = _solve(poly, tol)
             except NoConvergence as exc:
                 raise NoConvergence("fraction %s (%s): %s" % (frac, part, exc))
-            scale = max(abs(c) for c in poly.coeffs)
-            cs = np.array([c / scale for c in poly.coeffs], dtype=complex)
-            for z in zs:
-                res = float(_residuals(cs, np.array([z]))[0])
-                records.append(RootRecord(frac, part, z, res))
+            records.extend(RootRecord(frac, part, z, float(r))
+                           for z, r in zip(zs, res))
     records.sort(key=lambda rec: (rec.frac.s, rec.frac.r, rec.part,
                                   rec.root.real, rec.root.imag))
     moduli = [rec.modulus for rec in records]

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qburau.cfrac import (EvenCF, Frac, Infinite, NonPositive, cf_value,
-                          classical_matrix, enumerate_fractions, from_cf,
-                          to_even_cf)
+                          classical_matrix, enumerate_fractions, to_even_cf)
 
 
 class TestFrac:
@@ -48,7 +47,7 @@ class TestEvenCF:
 
     def test_one(self):
         assert to_even_cf(Frac(1, 1)) == EvenCF((0, 1))
-        assert from_cf(EvenCF((0, 1))) == Frac(1, 1)
+        assert cf_value(EvenCF((0, 1)).a) == Frac(1, 1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositive):
@@ -69,9 +68,9 @@ class TestClassicalMatrix:
         assert classical_matrix(EvenCF((0, 2))) == ((1, 0), (2, 1))
         assert classical_matrix(EvenCF((0, 1, 1, 1))) == ((2, 1), (3, 2))
 
-    def test_from_cf(self):
-        assert from_cf(EvenCF((1, 1))) == Frac(2, 1)
-        assert from_cf(EvenCF((0, 1, 1, 1))) == Frac(2, 3)
+    def test_cf_value(self):
+        assert cf_value(EvenCF((1, 1)).a) == Frac(2, 1)
+        assert cf_value(EvenCF((0, 1, 1, 1)).a) == Frac(2, 3)
 
 
 class TestRoundTrip:
@@ -82,7 +81,7 @@ class TestRoundTrip:
                     continue
                 x = Frac(r, s)
                 cf = to_even_cf(x)
-                assert from_cf(cf) == x
+                assert cf_value(cf.a) == x
                 ((rr, _), (ss, _)) = classical_matrix(cf)
                 assert (rr, ss) == (r, s)
 

@@ -1,14 +1,23 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qburau
+
 CLI = [sys.executable, "-m", "qburau.cli"]
+# the subprocess imports the same qburau as this process, also when pytest
+# put src/ on sys.path itself and PYTHONPATH is unset
+SRC = os.path.dirname(os.path.dirname(qburau.__file__))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=ENV)
 
 
 class TestQrat:
@@ -90,6 +99,12 @@ class TestSpecialize:
         out = run("specialize", "--t0", "zeta(5,1)")
         assert "UnfaithfulRootOfUnityPole" in out.stdout
 
+    def test_usage_error(self):
+        out = run("specialize", "--t0", "0.5", "--max-den", "1")
+        assert out.returncode == 2
+        assert "usage error:" in out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestOtherCommands:
     def test_jones(self):
@@ -110,7 +125,21 @@ class TestOtherCommands:
         assert data["coeffs"] == [1, 0, 1, -1, 2]
         assert data["order"] == 5
 
+    @pytest.mark.parametrize("args", [("--radius-m", "1"),
+                                      ("--order", "-3")])
+    def test_stabilize_usage_error(self, args):
+        out = run("stabilize", *args)
+        assert out.returncode == 2
+        assert "usage error:" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_rlroots(self):
         out = run("rlroots", "--m", "2")
         assert out.returncode == 0
+        assert "min_distance_to_circle" in out.stdout
+
+    def test_rlroots_high_degree_finite(self):
+        out = run("rlroots", "--m", "150")
+        assert out.returncode == 0
+        assert "nan" not in out.stdout.lower()
         assert "min_distance_to_circle" in out.stdout

@@ -1,17 +1,34 @@
 import math
 
+import numpy as np
 import pytest
 
+from qburau import rootloc
+from qburau.braid import qmod_generator
 from qburau.laurent import LaurentPoly
 from qburau.cfrac import Frac
 from qburau.qrational import q_deform
 from qburau.rootloc import (INNER_CONJ, INNER_PROVEN, OUTER_CONJ,
-                            OUTER_PROVEN, annulus_check, rl_power_roots,
-                            roots, sigma_sample)
+                            OUTER_PROVEN, NoConvergence, annulus_check,
+                            rl_power_roots, roots, sigma_sample)
 
 
 def P(low, *coeffs):
     return LaurentPoly.make(low, coeffs)
+
+
+def scaled_residual(coeffs, z):
+    """|p(z)| / (max|c| * (deg+1) * max(1,|z|)^deg) for ascending integer
+    coeffs, evaluated through the reversed polynomial at 1/z when |z| > 1
+    so that no power of |z| is formed."""
+    scale = max(abs(c) for c in coeffs)
+    cs = [c / scale for c in coeffs]
+    if abs(z) > 1:
+        cs, z = cs[::-1], 1 / z
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return abs(acc) / len(cs)
 
 
 class TestRoots:
@@ -59,6 +76,25 @@ class TestRoots:
         p = q_deform(Frac(21, 13)).den
         assert roots(p) == roots(p)
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf")])
+    def test_gate_fails_closed(self, monkeypatch, bad):
+        real_roots = np.roots
+
+        def spoiled(desc):
+            zs = real_roots(desc).astype(complex)
+            zs[0] = bad
+            return zs
+
+        monkeypatch.setattr(rootloc.np, "roots", spoiled)
+        with pytest.raises(NoConvergence):
+            roots(q_deform(Frac(21, 13)).den)
+
+    def test_lost_root_fails_closed(self):
+        # the leading coefficient underflows to 0.0 once scaled by the
+        # largest, so the float polynomial has lower degree
+        with pytest.raises(NoConvergence):
+            roots(P(0, 10 ** 400, 1))
+
 
 class TestSigmaSample:
     def test_small_sample_contents(self):
@@ -98,6 +134,15 @@ class TestSigmaSample:
         with pytest.raises(ValueError):
             sigma_sample(1)
 
+    def test_record_residuals(self):
+        sample = sigma_sample(6)
+        for rec in sample.records:
+            qr = q_deform(rec.frac)
+            poly = qr.num if rec.part == "num" else qr.den
+            want = scaled_residual(poly.coeffs, rec.root)
+            assert rec.residual <= 1e-10
+            assert abs(rec.residual - want) <= 1e-15
+
 
 class TestRLPowerRoots:
     def test_m1(self):
@@ -120,3 +165,16 @@ class TestRLPowerRoots:
     def test_rejects(self):
         with pytest.raises(ValueError):
             rl_power_roots(0)
+
+    @pytest.mark.parametrize("m", [55, 75, 80, 110, 150])
+    def test_high_degree(self, m):
+        # degrees up to ~300 with roots up to |z| ~ 9: |z|^deg nears 1e280
+        records, min_dist = rl_power_roots(m)
+        assert math.isfinite(min_dist)
+        mat = (qmod_generator("R") * qmod_generator("L")) ** m
+        for label, poly in zip("abcd", mat.entries()):
+            zs = [z for lab, z, _ in records if lab == label]
+            assert len(zs) == len(poly.coeffs) - 1
+            for z in zs:
+                assert math.isfinite(z.real) and math.isfinite(z.imag)
+                assert scaled_residual(poly.coeffs, z) <= 1e-10
