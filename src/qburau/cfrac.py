@@ -140,20 +140,18 @@ def classical_matrix(cf):
     return ((r, v), (s, u))
 
 
-def enumerate_fractions(max_den, numerator_cap=None):
+def enumerate_fractions(max_den):
     """All positive r/s in lowest terms with 1 <= s <= max_den and
-    r <= numerator_cap(s), sorted by (s, r).
+    r <= s + 2*max_den, sorted by (s, r).
 
-    Default cap is r <= s + 2*max_den: poles of s/r are inverses of
-    poles of r/s (reflection), so huge numerators add no new moduli.
+    The numerator cap: poles of s/r are inverses of poles of r/s
+    (reflection), so huge numerators add no new moduli.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    if numerator_cap is None:
-        numerator_cap = lambda s: s + 2 * max_den
     out = []
     for s in range(1, max_den + 1):
-        for r in range(1, numerator_cap(s) + 1):
+        for r in range(1, s + 2 * max_den + 1):
             if math.gcd(r, s) == 1:
                 out.append(Frac(r, s))
     return out

@@ -4,10 +4,11 @@ triangular-subgroup decomposition, and Alexander polynomials.
 
 The classifier decides the easy exact cases (center, roots of unity,
 negative reals, outside the proven annulus) and otherwise searches the
-singular set by scanning denominators of q-analogs up to a denominator
-bound.  A missing witness is reported as such, never as a faithfulness
-verdict: the singular set is an infinite union and the search is only a
-semi-decision.
+singular set up to a denominator bound.  Since den(r/s) depends only on
+r mod s, it scans each residue class once: the denominators of the r/s
+with r < s, from qrational.singular_dens.  A missing witness is reported
+as such, never as a faithfulness verdict: the singular set is an
+infinite union and the search is only a semi-decision.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from fractions import Fraction as _QQ
 
 from .laurent import LaurentPoly
 from .braid import BraidWord, QMatrix2, rho3
-from .cfrac import Frac, enumerate_fractions
-from .qrational import q_deform
+from .cfrac import Frac
+from .qrational import singular_dens
 from .rootloc import INNER_PROVEN, OUTER_PROVEN, roots
 
 ANNULUS_MARGIN = 1e-9
@@ -169,19 +170,20 @@ def classify_specialization(t0, max_den=40):
     if isinstance(t0, RealValue) and t0.x < 0:
         return Verdict(FAITHFUL_NEGATIVE_REAL)
 
-    z0 = _as_complex(t0)
-
-    # (4) outside the proven annulus
-    if abs(z0) < INNER_PROVEN - ANNULUS_MARGIN or \
-            abs(z0) > OUTER_PROVEN + ANNULUS_MARGIN:
+    # (4) outside the proven annulus; for a real point t0 > 0 that is
+    # |t0 - 3| > 2*sqrt(2), decided exactly
+    if isinstance(t0, RealValue):
+        outside = (t0.x - 3) ** 2 > 8
+    else:
+        outside = abs(t0.z) < INNER_PROVEN - ANNULUS_MARGIN or \
+            abs(t0.z) > OUTER_PROVEN + ANNULUS_MARGIN
+    if outside:
         return Verdict(FAITHFUL_OUTSIDE_ANNULUS)
 
-    # (5) bounded search of the singular set at q0 = -t0
-    q0 = -z0
-    for frac in enumerate_fractions(max_den):
-        den = q_deform(frac).den
-        if len(den.coeffs) <= 1:
-            continue
+    # (5) bounded search of the singular set at q0 = -t0; the first hit in
+    # (s, r) order has r < s, as den(r/s) = den((r mod s)/s)
+    q0 = -_as_complex(t0)
+    for frac, den in singular_dens(max_den):
         scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
         if abs(den.eval_complex(q0)) / scale < WITNESS_TOL:
             root = min(roots(den), key=lambda w: abs(w - q0))

@@ -81,6 +81,37 @@ def q_deform(x):
     return QRational(x, num, den)
 
 
+def singular_dens(max_den):
+    """(Frac(r, s), q_deform(Frac(r, s)).den) for every coprime
+    1 <= r < s <= max_den, sorted by (s, r).
+
+    These are all the q-analog denominators up to max_den: [x+1]_q =
+    q[x]_q + 1 (Morier-Genoud and Ovsienko, Forum Math. Sigma 8, 2020), so
+    the denominator of r/s depends only on r mod s.
+
+    They are built by Stern-Brocot descent from the word L, whose fraction
+    is 1/2.  The fraction of a word W is the one whose canonical word is
+    W.L, so its first column is the sum of W's columns.  A node keeps the
+    classical columns (r1, s1), (r2, s2) of W and the bottom row (c, d) of
+    W in R_q, L_q; its children are W.L_q, with row (c + d, d/q), and
+    W.R_q, with row (q*c, c + d).
+    """
+    out = []
+    # the word L: classical columns (1, 1) and (0, 1), q-row (1, q^-1)
+    stack = [(1, 1, 0, 1, ONE, LaurentPoly.monomial(-1))]
+    while stack:
+        r1, s1, r2, s2, c, d = stack.pop()
+        s = s1 + s2
+        if s > max_den:
+            continue
+        cd = c + d
+        out.append((Frac(r1 + r2, s), _normalize_pair(ZERO, cd)[1]))
+        stack.append((r1 + r2, s, r2, s2, cd, d.shift(-1)))
+        stack.append((r1, s1, r1 + r2, s, c.shift(1), cd))
+    out.sort(key=lambda pair: pair[0].sort_key)
+    return out
+
+
 def q_integer(n):
     """[n]_q: 1 + q + ... + q^(n-1) for n >= 1; -q^-1 - ... - q^-n for
     n <= -1; 0 for n = 0."""

@@ -45,8 +45,9 @@ def _residuals(coeffs, z):
     """
     out = np.empty(len(z))
     inner = np.abs(z) <= 1.0
-    out[inner] = np.abs(np.polyval(coeffs[::-1], z[inner]))
-    out[~inner] = np.abs(np.polyval(coeffs, 1.0 / z[~inner]))
+    with np.errstate(invalid="ignore"):
+        out[inner] = np.abs(np.polyval(coeffs[::-1], z[inner]))
+        out[~inner] = np.abs(np.polyval(coeffs, 1.0 / z[~inner]))
     return out / len(coeffs)
 
 
@@ -104,20 +105,26 @@ def sigma_sample(max_den, tol=RESIDUAL_TOL):
     """Roots of num and den of the q-analog of every enumerated fraction.
 
     Denominator roots are the sampled members of the singular set; the
-    numerator roots join them for the annulus check.
+    numerator roots join them for the annulus check.  Each distinct
+    coefficient tuple is solved once per call: den(r/s) depends only on
+    r mod s, so most polynomials repeat.
     """
     if max_den < 2:
         raise ValueError("max_den must be >= 2")
     records = []
+    solved = {}
     for frac in enumerate_fractions(max_den):
         qr = q_deform(frac)
         for part, poly in (("num", qr.num), ("den", qr.den)):
             if len(poly.coeffs) <= 1:
                 continue
-            try:
-                zs, res = _solve(poly, tol)
-            except NoConvergence as exc:
-                raise NoConvergence("fraction %s (%s): %s" % (frac, part, exc))
+            if poly.coeffs not in solved:
+                try:
+                    solved[poly.coeffs] = _solve(poly, tol)
+                except NoConvergence as exc:
+                    raise NoConvergence("fraction %s (%s): %s"
+                                        % (frac, part, exc))
+            zs, res = solved[poly.coeffs]
             records.extend(RootRecord(frac, part, z, float(r))
                            for z, r in zip(zs, res))
     records.sort(key=lambda rec: (rec.frac.s, rec.frac.r, rec.part,

@@ -107,11 +107,10 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_matches_brute_force(self):
-        cap = lambda s: s + 5
-        got = enumerate_fractions(5, cap)
+        got = enumerate_fractions(5)
         expect = [Frac(r, s)
                   for s in range(1, 6)
-                  for r in range(1, cap(s) + 1)
+                  for r in range(1, s + 2 * 5 + 1)
                   if math.gcd(r, s) == 1]
         assert got == expect
 

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction as QQ
 
@@ -5,7 +7,9 @@ import pytest
 
 from qburau.laurent import LaurentPoly
 from qburau.braid import BraidWord, rho3
-from qburau.cfrac import Frac
+from qburau.cfrac import Frac, enumerate_fractions
+from qburau.qrational import q_deform
+from qburau.rootloc import roots
 from qburau.faithful import (ComplexValue, RealValue, RootOfUnity, ZeroInput,
                              alexander, braids_equal, classify_specialization,
                              is_trivial_braid, parse_point,
@@ -13,11 +17,27 @@ from qburau.faithful import (ComplexValue, RealValue, RootOfUnity, ZeroInput,
 from qburau.faithful import (FAITHFUL_NEGATIVE_REAL, FAITHFUL_OUTSIDE_ANNULUS,
                              NO_WITNESS_UP_TO, UNFAITHFUL_CENTER,
                              UNFAITHFUL_POLE_WITNESS,
-                             UNFAITHFUL_ROOT_OF_UNITY)
+                             UNFAITHFUL_ROOT_OF_UNITY, WITNESS_TOL, Verdict)
 
 
 def P(low, *coeffs):
     return LaurentPoly.make(low, coeffs)
+
+
+def reference_scan(q0, max_den, dens):
+    """The pole search as a scan of every enumerated fraction in (s, r)
+    order, r > s included, one q_deform per fraction; dens holds
+    (frac, q_deform(frac).den) for enumerate_fractions(max_den)."""
+    for frac, den in dens:
+        if len(den.coeffs) <= 1:
+            continue
+        scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
+        if abs(den.eval_complex(q0)) / scale < WITNESS_TOL:
+            root = min(roots(den), key=lambda w: abs(w - q0))
+            if abs(root - q0) < 1e-4:
+                return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=frac,
+                               root=root)
+    return Verdict(NO_WITNESS_UP_TO, max_den=max_den)
 
 
 def random_word(rng, max_len):
@@ -87,17 +107,59 @@ class TestClassifier:
             v = classify_specialization(point, max_den=15)
             if v.kind != UNFAITHFUL_POLE_WITNESS:
                 continue
-            from qburau.qrational import q_deform
             from qburau.faithful import _as_complex
             den = q_deform(v.witness_frac).den
             scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
             assert abs(den.eval_complex(-_as_complex(point))) / scale < 1e-8
 
+    def test_scan_matches_per_fraction_reference(self):
+        max_den = 20
+        dens = [(f, q_deform(f).den) for f in enumerate_fractions(max_den)]
+        rng = random.Random(2024)
+        planted = []
+        for _ in range(12):
+            frac, den = rng.choice([fd for fd in dens if fd[0].s >= 2])
+            planted.append((frac, -rng.choice(roots(den))))
+        points = [ComplexValue(t0) for _, t0 in planted]
+        for _ in range(12):
+            modulus = math.exp(rng.uniform(math.log(0.2), math.log(5.5)))
+            points.append(ComplexValue(
+                cmath.rect(modulus, rng.uniform(-math.pi, math.pi))))
+        points.append(RealValue(QQ(1)))
+        for _ in range(12):
+            q = rng.randint(1, 30)
+            points.append(RealValue(QQ(rng.randint(q // 5 + 1, 5 * q), q)))
+        for point in points:
+            t0 = point.z if isinstance(point, ComplexValue) else point.x
+            want = reference_scan(-complex(t0), max_den, dens)
+            assert classify_specialization(point, max_den) == want
+        # every planted pole is found, at its own residue class or earlier
+        for (frac, _), point in zip(planted, points):
+            v = classify_specialization(point, max_den)
+            assert v.kind == UNFAITHFUL_POLE_WITNESS
+            assert v.witness_frac.r < v.witness_frac.s
+            assert v.witness_frac.sort_key <= (frac.s, frac.r % frac.s)
+
+    def test_real_annulus_is_exact(self):
+        # sqrt8 is 2*sqrt2 rounded down at 20 digits: the points below lie
+        # within 2e-20 of 3 - 2*sqrt2 and 3 + 2*sqrt2, on either side
+        sqrt8 = QQ(math.isqrt(8 * 10 ** 40), 10 ** 20)
+        ulp = QQ(1, 10 ** 20)
+        for x in (3 + sqrt8 + ulp, 3 - sqrt8 - ulp):
+            assert classify_specialization(RealValue(x), 4).kind == \
+                FAITHFUL_OUTSIDE_ANNULUS
+        for x in (3 + sqrt8, 3 - sqrt8 + ulp):
+            assert classify_specialization(RealValue(x), 4).kind == \
+                NO_WITNESS_UP_TO
+
+    def test_huge_and_tiny_reals(self):
+        # too large or too small for a float
+        for x in (QQ(10) ** 400, QQ(1, 10 ** 400)):
+            assert classify_specialization(RealValue(x)).kind == \
+                FAITHFUL_OUTSIDE_ANNULUS
+
     def test_faithful_verdicts_survive_denominator_sweep(self):
         # no q-analog denominator with r,s <= 40 comes close to vanishing
-        import math
-        from qburau.cfrac import enumerate_fractions
-        from qburau.qrational import q_deform
         for t0 in (QQ(-2), QQ(10)):
             v = classify_specialization(RealValue(t0))
             assert v.is_faithful()

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from qburau.laurent import LaurentPoly, ONE, ZERO
 from qburau.braid import BraidWord
-from qburau.cfrac import Frac, NonPositive
+from qburau.cfrac import Frac, NonPositive, enumerate_fractions
 from qburau.qrational import (ZeroNumerator, burau_column_check, jones,
                               mirror_negate, q_deform, q_integer,
-                              q_one_over_n, reflect)
+                              q_one_over_n, reflect, singular_dens)
 
 
 def P(low, *coeffs):
@@ -46,6 +46,34 @@ class TestQDeform:
                 assert qr.num.eval_at_one() == r
                 assert qr.den.eval_at_one() == s
                 assert qr.den.low == 0 and qr.den.coeffs[0] == 1
+
+
+class TestSingularDens:
+    def test_matches_q_deform(self):
+        # reference: one q_deform per enumerated fraction with r < s
+        ref = {}
+        for max_den in range(2, 61):
+            want = []
+            for f in enumerate_fractions(max_den):
+                if f.r < f.s:
+                    if f not in ref:
+                        ref[f] = q_deform(f).den
+                    want.append((f, ref[f]))
+            assert singular_dens(max_den) == want
+        # every scanned denominator has a root
+        assert all(len(den.coeffs) >= 2 for _, den in singular_dens(60))
+
+    def test_small_bounds(self):
+        assert singular_dens(1) == []
+        assert singular_dens(3) == [(Frac(1, 2), P(0, 1, 1)),
+                                    (Frac(1, 3), P(0, 1, 1, 1)),
+                                    (Frac(2, 3), P(0, 1, 1, 1))]
+
+    def test_den_depends_on_residue(self):
+        # [x+1]_q = q[x]_q + 1: den(r/s) = den((r mod s)/s)
+        for f in enumerate_fractions(40):
+            if f.s >= 2:
+                assert q_deform(f).den == q_deform(Frac(f.r % f.s, f.s)).den
 
 
 class TestQInteger:

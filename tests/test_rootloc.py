@@ -6,11 +6,12 @@ import pytest
 from qburau import rootloc
 from qburau.braid import qmod_generator
 from qburau.laurent import LaurentPoly
-from qburau.cfrac import Frac
+from qburau.cfrac import Frac, enumerate_fractions
 from qburau.qrational import q_deform
 from qburau.rootloc import (INNER_CONJ, INNER_PROVEN, OUTER_CONJ,
-                            OUTER_PROVEN, NoConvergence, annulus_check,
-                            rl_power_roots, roots, sigma_sample)
+                            OUTER_PROVEN, RESIDUAL_TOL, NoConvergence,
+                            RootRecord, annulus_check, rl_power_roots, roots,
+                            sigma_sample)
 
 
 def P(low, *coeffs):
@@ -142,6 +143,33 @@ class TestSigmaSample:
             want = scaled_residual(poly.coeffs, rec.root)
             assert rec.residual <= 1e-10
             assert abs(rec.residual - want) <= 1e-15
+
+    def test_solves_each_distinct_polynomial_once(self, monkeypatch):
+        max_den = 10
+        solve = rootloc._solve
+        calls = []
+
+        def counting_solve(p, tol):
+            calls.append(p.coeffs)
+            return solve(p, tol)
+
+        monkeypatch.setattr(rootloc, "_solve", counting_solve)
+        sample = sigma_sample(max_den)
+        # reference: one solve per fraction and part
+        want, polys = [], []
+        for frac in enumerate_fractions(max_den):
+            qr = q_deform(frac)
+            for part, poly in (("num", qr.num), ("den", qr.den)):
+                if len(poly.coeffs) > 1:
+                    polys.append(poly.coeffs)
+                    zs, res = solve(poly, RESIDUAL_TOL)
+                    want.extend(RootRecord(frac, part, z, float(r))
+                                for z, r in zip(zs, res))
+        want.sort(key=lambda rec: (rec.frac.s, rec.frac.r, rec.part,
+                                   rec.root.real, rec.root.imag))
+        assert sorted(calls) == sorted(set(polys))
+        assert len(calls) < len(polys)
+        assert sample.records == want
 
 
 class TestRLPowerRoots:
