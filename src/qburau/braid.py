@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, ZERO, _pack, _unpack, _width
 
 
 class ConventionMismatch(ValueError):
@@ -208,28 +208,60 @@ def burau_generator(letter):
     raise WordParseError("bad braid letter %r" % (letter,))
 
 
+# Letters per packed block of rho3.  A block's fields are as wide as its
+# largest coefficient plus one bit per letter, so a longer block carries
+# more empty bits; a shorter one packs and unpacks more often.
+_BLOCK = 96
+
+
 def rho3(word):
     """Left-to-right product of generator images; empty word gives Id.
 
     Right-multiplication by a generator touches only two columns, so the
     product is accumulated with shifts and adds instead of full 2x2
-    multiplications.
+    multiplications.  It runs in the q-convention, where s1, s2, s1^-1,
+    s2^-1 map to R_q, L_q^-1, R_q^-1, L_q and each letter costs two shifts
+    and two adds or subtracts, with no negation, on the entries packed
+    into integers one block of letters at a time.
     """
-    a, b, c, d = ONE, ZERO, ZERO, ONE
-    for g in word.letters:
-        if g == 1:       # M * [[-t,1],[0,1]]
-            a, b = -a.shift(1), a + b
-            c, d = -c.shift(1), c + d
-        elif g == 2:     # M * [[1,0],[t,-t]]
-            a, b = a + b.shift(1), -b.shift(1)
-            c, d = c + d.shift(1), -d.shift(1)
-        elif g == -1:    # M * [[-1/t,1/t],[0,1]]
-            a, b = -a.shift(-1), a.shift(-1) + b
-            c, d = -c.shift(-1), c.shift(-1) + d
-        else:            # M * [[1,0],[1,-1/t]]
-            a, b = a + b, -b.shift(-1)
-            c, d = c + d, -d.shift(-1)
-    return QMatrix2(a, b, c, d, "t")
+    entries = (ONE, ZERO, ZERO, ONE)
+    letters = word.letters
+    for start in range(0, len(letters), _BLOCK):
+        entries = _fold_block(entries, letters[start:start + _BLOCK])
+    return QMatrix2(*(p.negate_variable() for p in entries), variable="t")
+
+
+def _fold_block(entries, letters):
+    """The q-convention entries (a, b, c, d) times the images of the
+    letters.
+
+    The entries are packed at a shared lowest exponent `low`, so that
+    multiplying by q is a left shift by one field.  Dividing by q lowers
+    `low` instead and shifts the other operand left, so nothing shifts
+    right.  A letter at most doubles the largest |coefficient|, so fields
+    with room for its bit length plus one bit per letter cannot overflow.
+    """
+    live = [p for p in entries if p.coeffs]
+    low = min(p.low for p in live)
+    bits = max(max(map(int.bit_length, p.coeffs)) for p in live)
+    width = _width(bits + len(letters))
+    f = 8 * width
+    a, b, c, d = (_pack(p.coeffs, width) << f * (p.low - low) if p.coeffs
+                  else 0 for p in entries)
+    for g in letters:
+        if g == 1:       # M * [[q,1],[0,1]]
+            a, b = a << f, a + b
+            c, d = c << f, c + d
+        elif g == 2:     # M * [[1,0],[-q,q]]
+            b, d = b << f, d << f
+            a, c = a - b, c - d
+        elif g == -1:    # M * [[1/q,-1/q],[0,1]]
+            low -= 1
+            b, d = (b << f) - a, (d << f) - c
+        else:            # M * [[1,0],[1,1/q]]
+            low -= 1
+            a, c = (a + b) << f, (c + d) << f
+    return tuple(_unpack(x, low, width) for x in (a, b, c, d))
 
 
 _Q = LaurentPoly.var()

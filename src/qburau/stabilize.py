@@ -5,6 +5,7 @@ the q-analog of the irrational as an integer power series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .cfrac import Frac, NonPositive, cf_value
@@ -85,16 +86,11 @@ def taylor(qr, order):
     den = qr.den
     if den.low != 0 or den.coeffs[0] not in (1, -1):
         raise NonUnitConstantTerm("denominator constant term is not +-1")
-    d0 = den.coeffs[0]
-    num = qr.num
+    d0, tail = den.coeffs[0], den.coeffs[1:]
     out = []
-    for k in range(order):
-        acc = num.coeff(k)
-        for j in range(1, k + 1):
-            dj = den.coeff(j)
-            if dj:
-                acc -= dj * out[k - j]
-        out.append(acc // d0)
+    for n_k in map(qr.num.coeff, range(order)):
+        # tail[j-1] * out[k-j] for j = 1 .. min(k, deg den)
+        out.append((n_k - sum(map(operator.mul, tail, reversed(out)))) // d0)
     return PowerSeries(tuple(out))
 
 

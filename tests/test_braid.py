@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qburau.laurent import LaurentPoly, ONE, ZERO
 from qburau.braid import (BraidWord, ConventionMismatch, NotUnitDeterminant,
-                          QMatrix2, WordParseError, ZeroMatrix,
+                          QMatrix2, WordParseError, ZeroMatrix, _BLOCK,
                           burau_generator, qmod_generator, qmod_word, rho3)
 
 
@@ -15,6 +15,15 @@ def P(low, *coeffs):
 
 
 T = LaurentPoly.var()
+
+
+def generator_product(w):
+    """rho3 as the left-to-right product of the generator matrices."""
+    m = QMatrix2.identity("t")
+    for g in w.letters:
+        m = m * burau_generator(g)
+    return m
+
 
 braid_words = st.builds(
     lambda ls: BraidWord(tuple(ls)),
@@ -82,10 +91,28 @@ class TestRho3:
         for _ in range(50):
             w = BraidWord(tuple(rng.choice((1, -1, 2, -2))
                                 for _ in range(rng.randint(0, 12))))
-            m = QMatrix2.identity("t")
-            for g in w.letters:
-                m = m * burau_generator(g)
-            assert rho3(w) == m
+            assert rho3(w) == generator_product(w)
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK, 2 * _BLOCK + 1, 400])
+    def test_long_words_match_generator_products(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            w = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(n)))
+            assert rho3(w) == generator_product(w)
+
+    @pytest.mark.parametrize("text", ["aB", "ab", "AB", "Ab", "aaB", "bA"])
+    def test_high_growth_powers(self, text):
+        # coefficients of (aB)^k grow by about 0.7 bits per letter
+        w = BraidWord.parse(text)
+        for k in (1, 60, 250):
+            power = BraidWord(w.letters * k)
+            m = rho3(power)
+            assert m == rho3(w) ** k
+            e = power.exponent_sum()
+            assert m.det() == LaurentPoly.monomial(e, -1 if e % 2 else 1)
+        assert rho3(BraidWord(w.letters * 60)) == \
+            generator_product(BraidWord(w.letters * 60))
 
 
 class TestMatrixAlgebra:

@@ -179,6 +179,13 @@ class TestWordProblem:
         assert is_trivial_braid(BraidWord.parse("abaBAB"))
         assert not is_trivial_braid(BraidWord.parse("ab"))
 
+    def test_long_free_cancellation(self):
+        rng = random.Random(1600)
+        w = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(1600)))
+        assert is_trivial_braid(w * w.inverse())
+        assert is_trivial_braid(w.inverse() * w)
+        assert not is_trivial_braid(w * w)
+
     def test_braids_equal(self):
         assert braids_equal(BraidWord.parse("aba"), BraidWord.parse("bab"))
         assert braids_equal(BraidWord.parse("ababab"),

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qburau.laurent import (LaurentPoly, NotDivisible, DivisionByZero,
-                            ZeroWithNegativeExponent, ONE, ZERO, Q)
+                            ZeroWithNegativeExponent, ONE, ZERO, Q,
+                            _KRONECKER_MIN_TERMS, _pack, _unpack, _width)
 
 
 def P(low, *coeffs):
@@ -19,6 +21,48 @@ laurent_polys = st.builds(
     st.lists(st.integers(-50, 50), max_size=8))
 
 nonzero_polys = laurent_polys.filter(lambda p: not p.is_zero())
+
+# Long polynomials with big coefficients reach the packed (Kronecker)
+# product: values at and next to +-2^k field boundaries, runs of -1 (a
+# borrow across every field) and runs of zeros, inside or at either end.
+big_coeffs = st.one_of(
+    st.integers(-2**300, 2**300),
+    st.builds(lambda k, sign, off: sign * 2**k + off,
+              st.integers(0, 300), st.sampled_from((1, -1)),
+              st.integers(-1, 1)))
+coeff_runs = st.lists(
+    st.one_of(st.lists(big_coeffs, max_size=60),
+              st.lists(st.just(-1), max_size=40),
+              st.lists(st.just(0), max_size=8)),
+    max_size=6).map(lambda runs: [c for run in runs for c in run][:200])
+big_polys = st.builds(LaurentPoly.make, st.integers(-50, 50), coeff_runs)
+
+
+def terms(p):
+    """{exponent: coefficient} of the nonzero terms."""
+    return {p.low + i: c for i, c in enumerate(p.coeffs) if c}
+
+
+def is_trimmed(p):
+    if not p.coeffs:
+        return p.low == 0
+    return p.coeffs[0] != 0 and p.coeffs[-1] != 0
+
+
+def reference_add(p, r):
+    out = terms(p)
+    for k, c in terms(r).items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_mul(p, r):
+    """Schoolbook product, term by term."""
+    out = {}
+    for i, a in terms(p).items():
+        for j, b in terms(r).items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
 
 
 class TestArithmetic:
@@ -97,6 +141,14 @@ class TestExactDivide:
         with pytest.raises(DivisionByZero):
             P(0, 1).exact_divide(ZERO)
 
+    def test_non_integral_quotient(self):
+        # (3 + 3t) / (2 + 2t) = 3/2 over Q, so not exact over Z; the
+        # division stops at the first quotient coefficient
+        with pytest.raises(NotDivisible, match="non-integer"):
+            P(0, 3, 3).exact_divide(P(0, 2, 2))
+        with pytest.raises(NotDivisible):
+            P(0, 2, 4, 3).exact_divide(P(0, 2, 1))
+
 
 class TestPredicates:
     def test_palindromic(self):
@@ -164,3 +216,70 @@ class TestProperties:
         x = Fraction(9, 10)
         exact = float(p.eval_exact(x))
         assert abs(p.eval_complex(0.9) - exact) <= 1e-10 * abs(exact)
+
+
+class TestFastPaths:
+    """The packed product, the monomial product and the loop-free add and
+    neg against the term-by-term references above."""
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_schoolbook(self, p, r):
+        product = p * r
+        assert is_trimmed(product)
+        assert terms(product) == reference_mul(p, r)
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_add_neg_match_reference(self, p, r):
+        total = p + r
+        assert is_trimmed(total)
+        assert terms(total) == reference_add(p, r)
+        assert terms(-p) == {k: -c for k, c in terms(p).items()}
+        assert (p - r) + r == p
+        assert p - p == ZERO
+
+    @given(big_polys, big_polys.filter(lambda p: not p.is_zero()))
+    @settings(max_examples=50, deadline=None)
+    def test_exact_divide_round_trip(self, p, d):
+        assert (p * d).exact_divide(d) == p
+
+    @pytest.mark.parametrize("n", [_KRONECKER_MIN_TERMS - 1,
+                                   _KRONECKER_MIN_TERMS,
+                                   _KRONECKER_MIN_TERMS + 1, 200])
+    def test_mul_at_threshold(self, n):
+        rng = random.Random(n)
+        for bits in (1, 63, 64, 300):
+            p = P(-3, *(rng.randint(-2**bits, 2**bits) for _ in range(n)))
+            r = P(5, *(rng.choice((-1, 1)) << rng.randint(0, bits)
+                       for _ in range(n)))
+            assert terms(p * r) == reference_mul(p, r)
+
+    def test_all_minus_one(self):
+        p = P(0, *([-1] * 150))
+        assert terms(p * p) == reference_mul(p, p)
+
+    @pytest.mark.parametrize("c", [1, -1, 7, -(2**200)])
+    def test_monomial_factor(self, c):
+        p = P(-4, 3, 0, -2**90, 5)
+        m = LaurentPoly.monomial(6, c)
+        assert terms(p * m) == terms(m * p) == reference_mul(p, m)
+        if c == 1:
+            assert (p * m).coeffs is p.coeffs
+
+    @given(st.integers(-9, 9), coeff_runs)
+    @settings(max_examples=150, deadline=None)
+    def test_pack_round_trip(self, low, coeffs):
+        bits = max((c.bit_length() for c in coeffs), default=0)
+        width = _width(bits)
+        packed = _pack(coeffs, width)
+        assert packed == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+        assert _unpack(packed, low, width) == LaurentPoly.make(low, coeffs)
+
+    def test_pack_field_boundaries(self):
+        for width in (1, 2, 5):
+            top = 2 ** (8 * width - 1)
+            for coeffs in ([top - 1, -top, top - 1], [-top, -top], [-1] * 9,
+                           [0, -top, 0, 0], [top - 1] * 4):
+                assert _unpack(_pack(coeffs, width), 3, width) == \
+                    LaurentPoly.make(3, coeffs)
