@@ -11,18 +11,16 @@ from fractions import Fraction as _QQ
 
 from .laurent import LaurentPoly
 from .braid import BraidWord, QMatrix2, rho3
-from .cfrac import EvenCF, Frac, classical_matrix, enumerate_fractions, to_even_cf
+from .cfrac import EvenCF, Frac, classical_matrix
 from .qrational import (burau_column_check, mirror_negate, q_deform,
                         q_one_over_n, reflect)
-from .rootloc import (INNER_CONJ, INNER_PROVEN, OUTER_PROVEN, annulus_check,
-                      rl_power_roots, roots, sigma_sample)
+from .rootloc import annulus_check, rl_power_roots, roots, sigma_sample
 from .stabilize import GOLDEN, agreement_orders, radius_estimate, stabilized_series
 from .faithful import (FAITHFUL_NEGATIVE_REAL, FAITHFUL_OUTSIDE_ANNULUS,
                        NO_WITNESS_UP_TO, UNFAITHFUL_CENTER,
                        UNFAITHFUL_POLE_WITNESS, UNFAITHFUL_ROOT_OF_UNITY,
-                       ComplexValue, RealValue, RootOfUnity, alexander,
-                       classify_specialization, sigma1_z_word,
-                       triangular_decompose)
+                       RealValue, RootOfUnity, alexander,
+                       classify_specialization, triangular_decompose)
 
 SEED = 20260825
 

@@ -9,13 +9,12 @@ import argparse
 import json
 import sys
 
-from .laurent import LaurentPoly
 from .braid import BraidWord, WordParseError, rho3
 from .cfrac import Frac, NonPositive, Infinite
 from .qrational import jones as jones_poly, q_deform
 from .rootloc import (NoConvergence, annulus_check, rl_power_roots,
                       sigma_json, sigma_sample, write_sigma_csv)
-from .stabilize import (GOLDEN, PeriodicCF, StabilizationNotReached,
+from .stabilize import (PeriodicCF, StabilizationNotReached,
                         radius_estimate, stabilized_series)
 from .faithful import alexander, classify_specialization, parse_point
 

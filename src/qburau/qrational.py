@@ -8,11 +8,12 @@ displayed forms q/(1+q), (q+q^2)/(1+q+q^2), ...
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, ONE, ZERO, Q
-from .braid import QMatrix2, qmod_generator, rho3
-from .cfrac import Frac, NonPositive, to_even_cf
+from .braid import rho3
+from .cfrac import Frac, Infinite, NonPositive, to_even_cf
 
 
 class ZeroNumerator(ValueError):
@@ -48,15 +49,16 @@ class QRational:
                 "num": self.num.to_json(), "den": self.den.to_json()}
 
 
-def q_matrix(cf):
-    """M_q+(a1, ..., a2m): the word R_q^a1 L_q^a2 ... in q-convention.
+def rl_products(terms):
+    """The running product R_q^a1 L_q^a2 R_q^a3 ... in q-convention over
+    any sequence of terms: yields its entries (a, b, c, d) after each term.
 
     Generator powers have closed forms (R_q^a has columns (q^a, 0) and
     ([a]_q, 1); L_q^a has columns (1, 1+...+q^(1-a)) and (0, q^-a)), so
-    each continued-fraction entry costs one scalar-polynomial product.
+    each term costs one scalar-polynomial product per row.
     """
     a_, b_, c_, d_ = ONE, ZERO, ZERO, ONE
-    for i, a in enumerate(cf.a):
+    for i, a in enumerate(terms):
         if i % 2 == 0:
             qa = q_integer(a)
             a_, b_ = a_.shift(a), a_ * qa + b_
@@ -65,19 +67,41 @@ def q_matrix(cf):
             x = q_integer(a).shift(1 - a)   # 1 + q^-1 + ... + q^(1-a)
             a_, b_ = a_ + b_ * x, b_.shift(-a)
             c_, d_ = c_ + d_ * x, d_.shift(-a)
-    return QMatrix2(a_, b_, c_, d_, "q")
+        yield a_, b_, c_, d_
+
+
+def rl_product(terms):
+    """The entries of the whole word R_q^a1 L_q^a2 ... (terms nonempty)."""
+    return deque(rl_products(terms), maxlen=1).pop()
+
+
+def q_convergents(terms, fracs):
+    """The q-analogs of the convergents of the continued fraction `terms`,
+    whose fractions (the values of terms[:1], terms[:2], ...) are `fracs`;
+    None where a fraction is not positive.
+
+    Consecutive convergents are the two columns of one prefix product:
+    convergent m is the second column of the m-term product when m is
+    odd, the first column when m is even.
+    """
+    steps = zip(rl_products(terms), fracs)
+    for m, ((a, b, c, d), frac) in enumerate(steps, 1):
+        if not frac.is_positive():
+            yield None
+            continue
+        num, den = _normalize_pair(b, d) if m % 2 else _normalize_pair(a, c)
+        yield QRational(frac, num, den)
 
 
 def q_deform(x):
     """The q-analog of a positive fraction, from the first column of the
     deformed continued-fraction matrix."""
     if x.is_infinite():
-        from .cfrac import Infinite
         raise Infinite("no q-analog of infinity as a QRational")
     if not x.is_positive():
         raise NonPositive("q_deform defined for positive fractions")
-    m = q_matrix(to_even_cf(x))
-    num, den = _normalize_pair(m.a, m.c)
+    a, _, c, _ = rl_product(to_even_cf(x).a)
+    num, den = _normalize_pair(a, c)
     return QRational(x, num, den)
 
 

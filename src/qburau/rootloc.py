@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfrac import enumerate_fractions
-from .qrational import q_deform
-from .braid import qmod_generator
+from .qrational import q_deform, rl_product
 
 RESIDUAL_TOL = 1e-10
 
@@ -160,9 +159,8 @@ def rl_power_roots(m, tol=RESIDUAL_TOL):
     (entry_label, root, distance)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    mat = (qmod_generator("R") * qmod_generator("L")) ** m
     out = []
-    for label, poly in zip("abcd", mat.entries()):
+    for label, poly in zip("abcd", rl_product((1,) * (2 * m))):
         if poly.is_zero() or len(poly.coeffs) <= 1:
             continue
         for z in roots(poly, tol):

@@ -1,15 +1,20 @@
 """Taylor expansion of q-rationals at q = 0 and the stabilization of the
 expansions along the convergents of a quadratic irrational, which defines
 the q-analog of the irrational as an integer power series.
+
+Consecutive convergents are the two columns of one prefix product
+R_q^a1 L_q^a2 ..., so every convergent's q-analog is read off a single
+running product (``qrational.q_convergents``) instead of being rebuilt.
 """
 from __future__ import annotations
 
 import math
 import operator
+from itertools import chain, cycle, islice, takewhile
 from dataclasses import dataclass
 
-from .cfrac import Frac, NonPositive, cf_value
-from .qrational import q_deform
+from .cfrac import cf_value
+from .qrational import q_convergents
 from .rootloc import roots
 
 M_CAP = 200
@@ -66,12 +71,7 @@ class PeriodicCF:
 
     def terms(self, m):
         """First m partial quotients."""
-        out = list(self.preperiod)
-        i = 0
-        while len(out) < m:
-            out.append(self.period[i % len(self.period)])
-            i += 1
-        return out[:m]
+        return list(islice(chain(self.preperiod, cycle(self.period)), m))
 
 
 GOLDEN = PeriodicCF((), (1,))
@@ -101,11 +101,11 @@ def convergent(x, m):
     return cf_value(x.terms(m))
 
 
-def _convergent_series(x, m, order):
-    frac = convergent(x, m)
-    if not frac.is_positive():
-        raise NonPositive("convergent is not positive")
-    return taylor(q_deform(frac), order)
+def _q_convergents(x, m_max):
+    """The q-analogs of convergents 1 .. m_max of x, read off one running
+    product (None where a convergent is not positive)."""
+    return q_convergents(x.terms(m_max),
+                         (convergent(x, m) for m in range(1, m_max + 1)))
 
 
 def stabilized_series(x, order, m_cap=M_CAP):
@@ -115,19 +115,13 @@ def stabilized_series(x, order, m_cap=M_CAP):
     `order` coefficients; returns (PowerSeries, m) where m is the first
     index of the agreeing triple.
     """
-    window = []
-    for m in range(1, m_cap + 1):
-        try:
-            series = _convergent_series(x, m, order)
-        except NonPositive:
-            window = []
-            continue
-        window.append((m, series))
-        if len(window) > 3:
-            window.pop(0)
-        if len(window) == 3 and \
-                window[0][1] == window[1][1] == window[2][1]:
-            return window[0][1], window[0][0]
+    prev, run = None, 0
+    for m, qr in enumerate(_q_convergents(x, m_cap), 1):
+        series = None if qr is None else taylor(qr, order)
+        run = run + 1 if series is not None and series == prev else 1
+        if run == 3:
+            return series, m - 2
+        prev = series
     raise StabilizationNotReached(
         "no stable prefix of order %d within m <= %d" % (order, m_cap))
 
@@ -136,27 +130,15 @@ def agreement_orders(x, m_max, probe_order=120):
     """Length of the common coefficient prefix between consecutive
     convergents' expansions, for m = 1 .. m_max-1.  Diagnostic for the
     stabilization rate."""
-    series = []
-    for m in range(1, m_max + 1):
-        try:
-            series.append(_convergent_series(x, m, probe_order))
-        except NonPositive:
-            series.append(None)
-    out = []
-    for prev, cur in zip(series, series[1:]):
-        if prev is None or cur is None:
-            out.append(0)
-            continue
-        k = 0
-        while k < probe_order and prev.coeffs[k] == cur.coeffs[k]:
-            k += 1
-        out.append(k)
-    return out
+    # a nonpositive convergent has no coefficients, so it agrees on none
+    coeffs = [() if qr is None else taylor(qr, probe_order).coeffs
+              for qr in _q_convergents(x, m_max)]
+    return [len(list(takewhile(bool, map(operator.eq, prev, cur))))
+            for prev, cur in zip(coeffs, coeffs[1:])]
 
 
-def _min_den_root_modulus(x, m):
-    qr = q_deform(convergent(x, m))
-    if len(qr.den.coeffs) <= 1:
+def _min_den_root_modulus(qr):
+    if qr is None or len(qr.den.coeffs) <= 1:
         return float("inf")
     return min(abs(z) for z in roots(qr.den))
 
@@ -168,16 +150,15 @@ def radius_estimate(x, m):
     roots of the k-th convergent's q-analog.  Its error decays like
     1/k^2 with a parity oscillation, so the estimate Richardson-
     extrapolates the proxies at m and m-2 (same parity).  When the
-    shorter convergent has a constant denominator the raw proxy at m is
-    returned unchanged.
+    shorter convergent is 0 or has a constant denominator the raw proxy at
+    m is returned unchanged.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    cur = _min_den_root_modulus(x, m)
-    if m - 2 < 1 or math.isinf(cur):
-        return cur
-    prev = _min_den_root_modulus(x, m - 2)
-    if math.isinf(prev):
+    # the q-analogs of convergents m-2 and m (None when m-2 = 0)
+    prev, cur = map(_min_den_root_modulus,
+                    [None, *_q_convergents(x, m)][-3::2])
+    if math.isinf(prev) or math.isinf(cur):
         return cur
     weight = m * m / (m * m - (m - 2) * (m - 2))
     return weight * cur - (weight - 1) * prev

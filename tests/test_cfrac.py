@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings

@@ -7,7 +7,9 @@ from collections import namedtuple
 import pytest
 
 import qburau
+from qburau import cli
 from qburau.cli import main
+from qburau.stabilize import StabilizationNotReached
 
 Result = namedtuple("Result", "returncode stdout stderr")
 
@@ -142,6 +144,23 @@ class TestOtherCommands:
         assert out.returncode == 2
         assert "usage error:" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_stabilize_zero_convergent(self, run):
+        # x = [0; 1, 1, ...] has convergent 1 = 0, two before m = 3
+        out = run("stabilize", "--preperiod", "0", "--period", "1",
+                  "--radius-m", "3")
+        assert out.returncode == 0
+        assert "radius_estimate(m=3): 1.0000000000" in out.stdout
+        assert out.stderr == ""
+
+    def test_stabilize_not_reached(self, run, monkeypatch):
+        def not_reached(x, order):
+            raise StabilizationNotReached("no stable prefix")
+
+        monkeypatch.setattr(cli, "stabilized_series", not_reached)
+        out = run("stabilize", "--period", "1")
+        assert out.returncode == 4
+        assert "numerical failure: no stable prefix" in out.stderr
 
     def test_rlroots(self, run):
         out = run("rlroots", "--m", "2")

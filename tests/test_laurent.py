@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qburau.laurent import (LaurentPoly, NotDivisible, DivisionByZero,
-                            ZeroWithNegativeExponent, ONE, ZERO, Q,
+                            ZeroWithNegativeExponent, ONE, ZERO,
                             _KRONECKER_MIN_TERMS, _pack, _unpack, _width)
 
 

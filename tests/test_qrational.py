@@ -1,15 +1,17 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qburau.laurent import LaurentPoly, ONE, ZERO
-from qburau.braid import BraidWord
+from qburau.braid import BraidWord, QMatrix2, qmod_generator
 from qburau.cfrac import Frac, NonPositive, enumerate_fractions
-from qburau.qrational import (ZeroNumerator, burau_column_check, jones,
-                              mirror_negate, q_deform, q_integer,
-                              q_one_over_n, reflect, singular_dens)
+from qburau.qrational import (QRational, ZeroNumerator, burau_column_check,
+                              jones, mirror_negate, q_deform, q_integer,
+                              q_one_over_n, reflect, rl_product, rl_products,
+                              singular_dens)
 
 
 def P(low, *coeffs):
@@ -46,6 +48,38 @@ class TestQDeform:
                 assert qr.num.eval_at_one() == r
                 assert qr.den.eval_at_one() == s
                 assert qr.den.low == 0 and qr.den.coeffs[0] == 1
+
+
+def generator_power_product(terms):
+    """R_q^a1 L_q^a2 ... by matrix powers of the generators: the
+    reference for the running product."""
+    m = QMatrix2.identity("q")
+    for i, a in enumerate(terms):
+        m = m * qmod_generator("RL"[i % 2]) ** a
+    return m
+
+
+class TestRLProducts:
+    def test_prefixes_match_generator_powers(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            terms = [rng.randint(0, 4)] + [rng.randint(1, 6) for _ in
+                                           range(rng.randint(0, 9))]
+            got = list(rl_products(terms))
+            assert len(got) == len(terms)
+            for k, entries in enumerate(got, 1):
+                assert entries == generator_power_product(terms[:k]).entries()
+
+    def test_empty(self):
+        assert list(rl_products(())) == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 20, 64, 101, 150])
+    def test_rl_power_matches_matrix_power(self, m):
+        ref = (qmod_generator("R") * qmod_generator("L")) ** m
+        got = rl_product((1,) * (2 * m))
+        assert got == ref.entries()
+        assert all(p.low == r.low and p.coeffs == r.coeffs
+                   for p, r in zip(got, ref.entries()))
 
 
 class TestSingularDens:
@@ -98,6 +132,11 @@ class TestReflect:
         assert reflect(q_deform(Frac(2, 3))).den == P(0, 1, 1)
         two = q_deform(Frac(2, 1))
         assert (reflect(two).num, reflect(two).den) == (P(1, 1), P(0, 1, 1))
+
+    @pytest.mark.parametrize("frac", [Frac(0, 1), Frac(-3, 2)])
+    def test_nonpositive_numerator(self, frac):
+        with pytest.raises(ZeroNumerator):
+            reflect(QRational(frac, ONE, ONE))
 
     def test_involution(self):
         x = q_deform(Frac(7, 5))

@@ -8,10 +8,9 @@ from qburau.braid import qmod_generator
 from qburau.laurent import LaurentPoly
 from qburau.cfrac import Frac, enumerate_fractions
 from qburau.qrational import q_deform
-from qburau.rootloc import (INNER_CONJ, INNER_PROVEN, OUTER_CONJ,
-                            OUTER_PROVEN, RESIDUAL_TOL, NoConvergence,
-                            RootRecord, annulus_check, rl_power_roots, roots,
-                            sigma_sample)
+from qburau.rootloc import (INNER_CONJ, OUTER_CONJ, RESIDUAL_TOL,
+                            NoConvergence, RootRecord, annulus_check,
+                            rl_power_roots, roots, sigma_sample)
 
 
 def P(low, *coeffs):
