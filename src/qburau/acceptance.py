@@ -113,7 +113,7 @@ def crit05_palindromic_trace(n_words=10_000):
 
 def crit06_annulus(max_den=30):
     sample = sigma_sample(max_den)
-    report = annulus_check(sample, tol=1e-6)
+    report = annulus_check(sample)
     ok = (not report.proven_violations
           and report.min_modulus >= 0.381966 - 1e-6)
     return ok, ("%d roots, min=%.9f max=%.9f violations=%d"

@@ -282,10 +282,3 @@ def qmod_generator(token):
     except KeyError:
         raise WordParseError("bad modular-generator token %r" % (token,))
 
-
-def qmod_word(text):
-    """Product of space-separated tokens, e.g. 'R L R Ri'."""
-    m = QMatrix2.identity("q")
-    for tok in text.split():
-        m = m * qmod_generator(tok)
-    return m

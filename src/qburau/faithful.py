@@ -2,13 +2,14 @@
 representation, the word problem in B3 via its faithfulness, the
 triangular-subgroup decomposition, and Alexander polynomials.
 
-The classifier decides the easy exact cases (center, roots of unity,
-negative reals, outside the proven annulus) and otherwise searches the
-singular set up to a denominator bound.  Since den(r/s) depends only on
-r mod s, it scans each residue class once: the denominators of the r/s
-with r < s, from qrational.singular_dens.  A missing witness is reported
-as such, never as a faithfulness verdict: the singular set is an
-infinite union and the search is only a semi-decision.
+The classifier decides rational points and roots of unity exactly.  Every
+den is monic with constant term 1 and positive coefficients, so its only
+rational root is -1, a root of den(1/2) = 1 + q.  A float point q0 = -t0
+has a pole witness r/s iff the root of den(r/s) nearest q0 lies within
+WITNESS_TOL * (1 + |q0|); since den(r/s) depends only on r mod s, the
+search scans the dens of the r/s with r < s, from qrational.singular_dens.
+A missing witness is reported as such, never as a faithfulness verdict:
+the singular set is an infinite union and the search only semi-decides.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .qrational import singular_dens
 from .rootloc import INNER_PROVEN, OUTER_PROVEN, roots
 
 ANNULUS_MARGIN = 1e-9
-WITNESS_TOL = 1e-8
+WITNESS_TOL = 1e-8       # witness window: |root - q0| <= WITNESS_TOL*(1+|q0|)
 
 
 class ZeroInput(ValueError):
@@ -128,66 +129,71 @@ FAITHFUL_NEGATIVE_REAL = "FaithfulNegativeReal"
 NO_WITNESS_UP_TO = "NoWitnessUpTo"
 
 
-def _as_complex(t0):
-    if isinstance(t0, RootOfUnity):
-        return t0.value()
-    if isinstance(t0, RealValue):
-        return complex(t0.x)
-    return complex(t0.z)
+def _may_vanish_near(den, q0, window):
+    """False proves that den has no root within `window` of q0.
+
+    If den(z1) = 0 with |z1 - q0| <= w, the mean value bound on the
+    segment from z1 to q0 gives |den(q0)| <= w * max|c| * n(n+1)/2 *
+    max(1, |q0| + w)^(n-1) at degree n.  So the scaled value |den(q0)| /
+    (max|c| * (n+1) * max(1,|q0|)^n) is at most w * n/2 * (1+w)^(n-1);
+    the test allows twice that, which also covers roundoff.  At |q0| > 1
+    it evaluates the scaled value as |rev den(1/q0)| / (max|c| * (n+1)),
+    so no power of |q0| is formed and nothing overflows.
+    """
+    coeffs = den.coeffs
+    if abs(q0) > 1:
+        den, q0 = LaurentPoly(0, coeffs[::-1]), 1 / q0
+    n = len(coeffs) - 1
+    return (abs(den.eval_complex(q0)) / (max(coeffs) * (n + 1))
+            <= window * n * (1 + window) ** (n - 1))
 
 
 def classify_specialization(t0, max_den=40):
     """Faithfulness verdict for the Burau representation at t0.
 
-    Exact branches first (center, roots of unity, negative reals,
-    modulus outside the proven annulus), then a pole search over
-    q-analog denominators up to max_den.  NoWitnessUpTo means only that
-    the bounded search found nothing.
+    Rational points and roots of unity are decided exactly.  A float
+    point is faithful outside the proven annulus (beyond ANNULUS_MARGIN),
+    else it gets a pole search over q-analog denominators up to max_den:
+    NoWitnessUpTo means only that the bounded search found nothing.
     """
     if max_den < 2:
         raise ValueError("max_den must be >= 2")
 
-    # (1) the center collapses at t0 = -1
-    if isinstance(t0, RealValue) and t0.x == -1:
-        return Verdict(UNFAITHFUL_CENTER)
-    if isinstance(t0, RootOfUnity) and t0.n == 2 * t0.k:
-        return Verdict(UNFAITHFUL_CENTER)
-    if isinstance(t0, ComplexValue) and t0.z == -1:
-        return Verdict(UNFAITHFUL_CENTER)
-
-    # (2) exact root of unity: -t0 is a primitive d-th root of unity,
-    # hence a pole of the q-analog of 1/d
-    if isinstance(t0, RootOfUnity):
-        # -t0 = exp(2*pi*i*(2k+n)/(2n))
-        g = math.gcd(2 * t0.k + t0.n, 2 * t0.n)
-        d = 2 * t0.n // g
-        root = -t0.value()
-        return Verdict(UNFAITHFUL_ROOT_OF_UNITY, witness_frac=Frac(1, d),
-                       root=root)
-
-    # (3) exact negative real, not -1: positivity of the q-analog
-    # coefficients keeps every denominator nonzero at -t0 > 0
-    if isinstance(t0, RealValue) and t0.x < 0:
-        return Verdict(FAITHFUL_NEGATIVE_REAL)
-
-    # (4) outside the proven annulus; for a real point t0 > 0 that is
-    # |t0 - 3| > 2*sqrt(2), decided exactly
     if isinstance(t0, RealValue):
-        outside = (t0.x - 3) ** 2 > 8
-    else:
-        outside = abs(t0.z) < INNER_PROVEN - ANNULUS_MARGIN or \
-            abs(t0.z) > OUTER_PROVEN + ANNULUS_MARGIN
-    if outside:
-        return Verdict(FAITHFUL_OUTSIDE_ANNULUS)
+        x = t0.x
+        if x == -1:                 # the center collapses at t0 = -1
+            return Verdict(UNFAITHFUL_CENTER)
+        if x < 0:                   # positive dens do not vanish at -x > 0
+            return Verdict(FAITHFUL_NEGATIVE_REAL)
+        if (x - 3) ** 2 > 8:        # |x - 3| > 2*sqrt(2), decided exactly
+            return Verdict(FAITHFUL_OUTSIDE_ANNULUS)
+        if x == 1:                  # -1 is the only rational den root
+            return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=Frac(1, 2),
+                           root=complex(-1))
+        return Verdict(NO_WITNESS_UP_TO, max_den=max_den)
 
-    # (5) bounded search of the singular set at q0 = -t0; the first hit in
-    # (s, r) order has r < s, as den(r/s) = den((r mod s)/s)
-    q0 = -_as_complex(t0)
+    if isinstance(t0, RootOfUnity):
+        if t0.n == 2 * t0.k:
+            return Verdict(UNFAITHFUL_CENTER)
+        # -t0 = exp(2*pi*i*(2k+n)/(2n)) is a primitive d-th root of unity,
+        # hence a pole of the q-analog of 1/d
+        d = 2 * t0.n // math.gcd(2 * t0.k + t0.n, 2 * t0.n)
+        return Verdict(UNFAITHFUL_ROOT_OF_UNITY, witness_frac=Frac(1, d),
+                       root=-t0.value())
+
+    q0 = -complex(t0.z)
+    if q0 == 1:
+        return Verdict(UNFAITHFUL_CENTER)
+    if not INNER_PROVEN - ANNULUS_MARGIN <= abs(q0) <= \
+            OUTER_PROVEN + ANNULUS_MARGIN:
+        return Verdict(FAITHFUL_OUTSIDE_ANNULUS)
+    # bounded search of the singular set; the first hit in (s, r) order
+    # has r < s, as den(r/s) = den((r mod s)/s)
+    window = WITNESS_TOL * (1 + abs(q0))
     for frac, den in singular_dens(max_den):
-        scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
-        if abs(den.eval_complex(q0)) / scale < WITNESS_TOL:
+        if _may_vanish_near(den, q0, window):
             root = min(roots(den), key=lambda w: abs(w - q0))
-            if abs(root - q0) < 1e-4:
+            if abs(root - q0) <= window:
                 return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=frac,
                                root=root)
     return Verdict(NO_WITNESS_UP_TO, max_den=max_den)

@@ -114,10 +114,6 @@ class LaurentPoly:
         return LaurentPoly(0, (1,))
 
     @staticmethod
-    def const(n):
-        return LaurentPoly.make(0, (n,))
-
-    @staticmethod
     def monomial(k, c=1):
         """c * q^k"""
         return LaurentPoly.make(k, (c,))
@@ -131,11 +127,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    @property
-    def high(self):
-        """Exponent of the highest term (only meaningful if nonzero)."""
-        return self.low + len(self.coeffs) - 1
 
     def coeff(self, k):
         """Coefficient of q^k."""

@@ -8,6 +8,10 @@ LAPACK eigensolve, backward stable by Edelman and Murakami, Math. Comp.
 64, 1995).  Real coefficients make complex roots come in exact conjugate
 pairs.  There is no iteration and no polish; every root must pass the
 scaled-residual gate, which fails closed on NaN and inf.
+
+The singular-set sample reads every polynomial off one table of dens,
+``qrational.singular_dens``, by [x+1]_q = q[x]_q + 1 and reflection
+(Morier-Genoud and Ovsienko, Forum Math. Sigma 8, 2020).
 """
 from __future__ import annotations
 
@@ -17,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfrac import enumerate_fractions
-from .qrational import q_deform, rl_product
+from .cfrac import Frac, enumerate_fractions
+from .qrational import rl_product, singular_dens
 
 RESIDUAL_TOL = 1e-10
+ANNULUS_TOL = 1e-6
 
 INNER_PROVEN = 3 - 2 * math.sqrt(2)       # 0.171572875254...
 OUTER_PROVEN = 3 + 2 * math.sqrt(2)       # 5.828427124746...
@@ -50,34 +55,35 @@ def _residuals(coeffs, z):
     return out / len(coeffs)
 
 
-def _solve(p, tol):
-    """Roots of p with q^low stripped, sorted by (real, imag), and their
-    scaled residuals; raises NoConvergence unless every residual <= tol."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no well-defined root set")
-    # strip the monomial factor; scale coefficients into float range
-    scale = max(abs(c) for c in p.coeffs)
-    coeffs = np.array([c / scale for c in p.coeffs], dtype=float)
+def _solve(coeffs):
+    """Roots of the nonzero polynomial with ascending coefficients
+    `coeffs`, sorted by (real, imag), and their scaled residuals; raises
+    NoConvergence unless every residual <= RESIDUAL_TOL."""
+    # scale coefficients into float range
+    scale = max(abs(c) for c in coeffs)
+    coeffs = np.array([c / scale for c in coeffs], dtype=float)
     z = np.roots(coeffs[::-1]).astype(complex)
     z = z[np.lexsort((z.imag, z.real))]
     res = _residuals(coeffs, z)
     deg = len(coeffs) - 1
-    if len(z) != deg or not (np.all(np.isfinite(z)) and np.all(res <= tol)):
+    if len(z) != deg or not np.all(np.isfinite(z) & (res <= RESIDUAL_TOL)):
         raise NoConvergence(
-            "worst scaled root residual %.1e above %.1e at degree %d for %s"
-            % (np.max(res, initial=0.0), tol, deg, p))
+            "worst scaled root residual %.1e above %.1e at degree %d"
+            % (np.max(res, initial=0.0), RESIDUAL_TOL, deg))
     return [complex(w) for w in z], res
 
 
-def roots(p, tol=RESIDUAL_TOL):
+def roots(p):
     """All roots of p with q^low stripped, multiplicities by repetition,
     sorted by (real, imag).
 
-    Each root satisfies |p(z)| <= tol * max|coeff| * (deg+1) *
+    Each root satisfies |p(z)| <= RESIDUAL_TOL * max|coeff| * (deg+1) *
     max(1,|z|)^deg; raises NoConvergence otherwise, also when a root is
     NaN or inf.
     """
-    return _solve(p, tol)[0]
+    if p.is_zero():
+        raise ValueError("zero polynomial has no well-defined root set")
+    return _solve(p.coeffs)[0]
 
 
 @dataclass(frozen=True)
@@ -100,34 +106,36 @@ class SigmaSample:
     max_modulus: float
 
 
-def sigma_sample(max_den, tol=RESIDUAL_TOL):
-    """Roots of num and den of the q-analog of every enumerated fraction.
+def sigma_sample(max_den):
+    """Roots of den and num (singular set, and its reflection for the
+    annulus check) of the q-analog of every enumerated fraction, in
+    (s, r) order, den first, each root list sorted by (real, imag).
 
-    Denominator roots are the sampled members of the singular set; the
-    numerator roots join them for the annulus check.  Each distinct
-    coefficient tuple is solved once per call: den(r/s) depends only on
-    r mod s, so most polynomials repeat.
+    den(r/s) is the row (r mod s)/s of one singular_dens(3 * max_den)
+    table, num(r/s) the row (s mod r)/r reversed; s = 1 and r = 1 have no
+    row and no root.  Each distinct polynomial is solved once per call.
     """
     if max_den < 2:
         raise ValueError("max_den must be >= 2")
+    table = dict(singular_dens(3 * max_den))
     records = []
     solved = {}
     for frac in enumerate_fractions(max_den):
-        qr = q_deform(frac)
-        for part, poly in (("num", qr.num), ("den", qr.den)):
-            if len(poly.coeffs) <= 1:
+        r, s = frac.r, frac.s
+        for part, row, step in (("den", table.get(Frac(r % s, s)), 1),
+                                ("num", table.get(Frac(s % r, r)), -1)):
+            if row is None:
                 continue
-            if poly.coeffs not in solved:
+            coeffs = row.coeffs[::step]
+            if coeffs not in solved:
                 try:
-                    solved[poly.coeffs] = _solve(poly, tol)
+                    solved[coeffs] = _solve(coeffs)
                 except NoConvergence as exc:
                     raise NoConvergence("fraction %s (%s): %s"
                                         % (frac, part, exc))
-            zs, res = solved[poly.coeffs]
-            records.extend(RootRecord(frac, part, z, float(r))
-                           for z, r in zip(zs, res))
-    records.sort(key=lambda rec: (rec.frac.s, rec.frac.r, rec.part,
-                                  rec.root.real, rec.root.imag))
+            zs, res = solved[coeffs]
+            records.extend(RootRecord(frac, part, z, float(e))
+                           for z, e in zip(zs, res))
     moduli = [rec.modulus for rec in records]
     return SigmaSample(max_den, records, min(moduli), max(moduli))
 
@@ -140,20 +148,20 @@ class AnnulusReport:
     conjecture_consistent: bool
 
 
-def annulus_check(sample, tol=1e-6):
+def annulus_check(sample):
     """Check the sample against the proven open annulus (3-2*sqrt2,
     3+2*sqrt2); report consistency with the conjectural sharp annulus
-    [(3-sqrt5)/2, (3+sqrt5)/2]."""
+    [(3-sqrt5)/2, (3+sqrt5)/2].  Both allow ANNULUS_TOL of slack."""
     violations = [rec for rec in sample.records
-                  if rec.modulus <= INNER_PROVEN - tol
-                  or rec.modulus >= OUTER_PROVEN + tol]
-    conj_ok = all(INNER_CONJ - tol <= rec.modulus <= OUTER_CONJ + tol
-                  for rec in sample.records)
+                  if rec.modulus <= INNER_PROVEN - ANNULUS_TOL
+                  or rec.modulus >= OUTER_PROVEN + ANNULUS_TOL]
+    conj_ok = all(INNER_CONJ - ANNULUS_TOL <= rec.modulus
+                  <= OUTER_CONJ + ANNULUS_TOL for rec in sample.records)
     return AnnulusReport(violations, sample.min_modulus,
                          sample.max_modulus, conj_ok)
 
 
-def rl_power_roots(m, tol=RESIDUAL_TOL):
+def rl_power_roots(m):
     """Roots of the four entries of (R_q L_q)^m with their distance to the
     circle |q| = (3-sqrt5)/2.  Returns (records, min_distance); records are
     (entry_label, root, distance)."""
@@ -163,7 +171,7 @@ def rl_power_roots(m, tol=RESIDUAL_TOL):
     for label, poly in zip("abcd", rl_product((1,) * (2 * m))):
         if poly.is_zero() or len(poly.coeffs) <= 1:
             continue
-        for z in roots(poly, tol):
+        for z in roots(poly):
             out.append((label, z, abs(abs(z) - INNER_CONJ)))
     min_dist = min(d for _, _, d in out) if out else float("inf")
     return out, min_dist

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qburau.laurent import LaurentPoly, ONE, ZERO
 from qburau.braid import (BraidWord, ConventionMismatch, NotUnitDeterminant,
                           QMatrix2, WordParseError, ZeroMatrix, _BLOCK,
-                          burau_generator, qmod_generator, qmod_word, rho3)
+                          burau_generator, qmod_generator, rho3)
 
 
 def P(low, *coeffs):
@@ -121,7 +121,7 @@ class TestMatrixAlgebra:
         assert r * r == QMatrix2(P(2, 1), P(0, 1, 1), ZERO, ONE, "q")
 
     def test_rq_lq(self):
-        m = qmod_word("R L")
+        m = qmod_generator("R") * qmod_generator("L")
         assert m == QMatrix2(P(0, 1, 1), P(-1, 1), ONE, P(-1, 1), "q")
 
     def test_det_trace(self):

@@ -111,6 +111,15 @@ class TestSpecialize:
         assert json.loads(out.stdout.splitlines()[-1]) == \
             {"verdict": "FaithfulOutsideAnnulus"}
 
+    def test_rational_near_den_root(self, run):
+        # minus a best approximation of a real den root: no den vanishes
+        # at a rational point other than t0 = 1
+        out = run("specialize", "--t0", "15826910/9018811")
+        assert out.returncode == 0
+        assert out.stdout.startswith("UNDECIDED")
+        assert json.loads(out.stdout.splitlines()[-1]) == \
+            {"verdict": "NoWitnessUpTo", "max_den": 40}
+
     def test_usage_error(self, run):
         out = run("specialize", "--t0", "0.5", "--max-den", "1")
         assert out.returncode == 2

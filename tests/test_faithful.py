@@ -8,8 +8,8 @@ import pytest
 from qburau.laurent import LaurentPoly
 from qburau.braid import BraidWord, rho3
 from qburau.cfrac import Frac, enumerate_fractions
-from qburau.qrational import q_deform
-from qburau.rootloc import roots
+from qburau.qrational import q_deform, q_integer, singular_dens
+from qburau.rootloc import INNER_PROVEN, OUTER_PROVEN, roots
 from qburau.faithful import (ComplexValue, RealValue, RootOfUnity, ZeroInput,
                              alexander, braids_equal, classify_specialization,
                              is_trivial_braid, parse_point,
@@ -17,26 +17,34 @@ from qburau.faithful import (ComplexValue, RealValue, RootOfUnity, ZeroInput,
 from qburau.faithful import (FAITHFUL_NEGATIVE_REAL, FAITHFUL_OUTSIDE_ANNULUS,
                              NO_WITNESS_UP_TO, UNFAITHFUL_CENTER,
                              UNFAITHFUL_POLE_WITNESS,
-                             UNFAITHFUL_ROOT_OF_UNITY, WITNESS_TOL, Verdict)
+                             UNFAITHFUL_ROOT_OF_UNITY, WITNESS_TOL, Verdict,
+                             _may_vanish_near)
 
 
 def P(low, *coeffs):
     return LaurentPoly.make(low, coeffs)
 
 
-def reference_scan(q0, max_den, dens):
+def reference_scan(t0, max_den, dens):
     """The pole search as a scan of every enumerated fraction in (s, r)
-    order, r > s included, one q_deform per fraction; dens holds
-    (frac, q_deform(frac).den) for enumerate_fractions(max_den)."""
-    for frac, den in dens:
+    order, r > s included, one q_deform per fraction and no prefilter;
+    dens holds (frac, q_deform(frac).den, roots of it) for
+    enumerate_fractions(max_den).  A rational t0 is a witness where den
+    vanishes exactly at -t0; a float one where the root nearest -t0 lies
+    within WITNESS_TOL * (1 + |t0|)."""
+    for frac, den, zs in dens:
         if len(den.coeffs) <= 1:
             continue
-        scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
-        if abs(den.eval_complex(q0)) / scale < WITNESS_TOL:
-            root = min(roots(den), key=lambda w: abs(w - q0))
-            if abs(root - q0) < 1e-4:
+        if isinstance(t0, QQ):
+            if den.eval_exact(-t0) == 0:
                 return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=frac,
-                               root=root)
+                               root=complex(-t0))
+            continue
+        q0 = -t0
+        root = min(zs, key=lambda w: abs(w - q0))
+        if abs(root - q0) <= WITNESS_TOL * (1 + abs(q0)):
+            return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=frac,
+                           root=root)
     return Verdict(NO_WITNESS_UP_TO, max_den=max_den)
 
 
@@ -68,10 +76,11 @@ class TestClassifier:
         assert classify_specialization(RealValue(QQ(-1))).kind == UNFAITHFUL_CENTER
 
     def test_one_has_pole_witness(self):
-        v = classify_specialization(RealValue(QQ(1)), max_den=10)
-        assert v.kind == UNFAITHFUL_POLE_WITNESS
-        assert v.witness_frac == Frac(1, 2)
-        assert abs(v.root + 1) < 1e-10
+        # exact, with no float search: -1 is the only rational den root
+        for max_den in (10, 40):
+            v = classify_specialization(RealValue(QQ(1)), max_den)
+            assert v == Verdict(UNFAITHFUL_POLE_WITNESS,
+                                witness_frac=Frac(1, 2), root=complex(-1))
 
     def test_negative_real(self):
         assert classify_specialization(RealValue(QQ(-2))).kind == \
@@ -98,28 +107,90 @@ class TestClassifier:
 
     def test_float_near_sigma_point_finds_witness(self):
         # t0 = 1.0 as a float lands on the pole of the q-analog of 1/2
-        v = classify_specialization(ComplexValue(1.0 + 0j), max_den=6)
-        assert v.kind == UNFAITHFUL_POLE_WITNESS
-        assert v.witness_frac == Frac(1, 2)
+        for max_den in (6, 40):
+            v = classify_specialization(ComplexValue(1.0 + 0j), max_den)
+            assert v.kind == UNFAITHFUL_POLE_WITNESS
+            assert v.witness_frac == Frac(1, 2) and v.root == -1
+
+    @pytest.mark.parametrize("t0", [1 + 1e-6, 1 - 1e-6, 1 + 1e-7, 1 - 1e-7,
+                                    1 + 1e-6j, 1 - 1e-6j])
+    def test_near_minus_one_has_no_witness(self, t0):
+        # q0 = -t0 lies 1e-6 or 1e-7 from the root -1 of den(1/2), and of
+        # the dens with a multiple root there: outside the window 2e-8
+        v = classify_specialization(ComplexValue(t0))
+        assert v.kind == NO_WITNESS_UP_TO and v.max_den == 40
+
+    @pytest.mark.parametrize("x", [QQ(15826910, 9018811),
+                                   QQ(5639531, 9896687),
+                                   QQ(1323084, 902777)])
+    def test_rational_near_den_root_has_no_witness(self, x):
+        # each is the best rational approximation of minus a real den
+        # root; no den has a rational root other than -1
+        v = classify_specialization(RealValue(x))
+        assert v == Verdict(NO_WITNESS_UP_TO, max_den=40)
+
+    @staticmethod
+    def sampled_den_roots(seed, count):
+        """count pairs (den, root) with s <= 40 and the root inside the
+        proven annulus."""
+        rng = random.Random(seed)
+        pairs = [(den, z) for _, den in singular_dens(40) for z in roots(den)
+                 if INNER_PROVEN < abs(z) < OUTER_PROVEN]
+        return rng.sample(pairs, count), rng
+
+    def test_witness_root_within_window(self):
+        # a den root moved by 1e-6 or 1e-7 in a random direction: any
+        # witness root lies within WITNESS_TOL * (1 + |q0|) of q0
+        pairs, rng = self.sampled_den_roots(40, 100)
+        for _, z in pairs:
+            step = rng.choice((1e-6, 1e-7))
+            q0 = z + cmath.rect(step, rng.uniform(-math.pi, math.pi))
+            v = classify_specialization(ComplexValue(-q0))
+            if v.kind == UNFAITHFUL_POLE_WITNESS:
+                assert abs(v.root - q0) <= WITNESS_TOL * (1 + abs(q0))
+            else:
+                assert v.kind == NO_WITNESS_UP_TO
+
+    def test_prefilter_is_necessary(self):
+        # every q0 within the window of a den root passes the prefilter,
+        # inside and outside the unit circle
+        pairs, rng = self.sampled_den_roots(41, 300)
+        for den, z in pairs:
+            q0 = z + cmath.rect(0.99 * WITNESS_TOL * (1 + abs(z)),
+                                rng.uniform(-math.pi, math.pi))
+            assert _may_vanish_near(den, q0, WITNESS_TOL * (1 + abs(q0)))
+
+    def test_prefilter_high_degree_is_finite(self):
+        # q^1000 + 3q^999 + 1 has a root within 3^-999 of -3, where
+        # |q0|^999 overflows a float; the reversed evaluation does not
+        p = P(0, 1, *(0,) * 998, 3, 1)
+        assert _may_vanish_near(p, -3 + 0j, 1e-8 * 4)
+        assert not _may_vanish_near(p, -3.5 + 0j, 1e-8 * 4.5)
+        # a root of [1000]_q, moved just outside the unit circle
+        root = cmath.exp(2j * math.pi / 1000) * (1 + 1e-9)
+        assert _may_vanish_near(q_integer(1000), root, 1e-8 * 2)
 
     def test_witness_denominator_vanishes(self):
         for point in (RealValue(QQ(1)), ComplexValue(-0.5 + 0.866025403784j)):
             v = classify_specialization(point, max_den=15)
             if v.kind != UNFAITHFUL_POLE_WITNESS:
                 continue
-            from qburau.faithful import _as_complex
+            t0 = point.x if isinstance(point, RealValue) else point.z
             den = q_deform(v.witness_frac).den
             scale = max(abs(c) for c in den.coeffs) * len(den.coeffs)
-            assert abs(den.eval_complex(-_as_complex(point))) / scale < 1e-8
+            assert abs(den.eval_complex(-complex(t0))) / scale < 1e-8
 
     def test_scan_matches_per_fraction_reference(self):
         max_den = 20
-        dens = [(f, q_deform(f).den) for f in enumerate_fractions(max_den)]
+        dens = []
+        for f in enumerate_fractions(max_den):
+            den = q_deform(f).den
+            dens.append((f, den, roots(den)))
         rng = random.Random(2024)
         planted = []
         for _ in range(12):
-            frac, den = rng.choice([fd for fd in dens if fd[0].s >= 2])
-            planted.append((frac, -rng.choice(roots(den))))
+            frac, _, zs = rng.choice([fd for fd in dens if fd[0].s >= 2])
+            planted.append((frac, -rng.choice(zs)))
         points = [ComplexValue(t0) for _, t0 in planted]
         for _ in range(12):
             modulus = math.exp(rng.uniform(math.log(0.2), math.log(5.5)))
@@ -131,7 +202,7 @@ class TestClassifier:
             points.append(RealValue(QQ(rng.randint(q // 5 + 1, 5 * q), q)))
         for point in points:
             t0 = point.z if isinstance(point, ComplexValue) else point.x
-            want = reference_scan(-complex(t0), max_den, dens)
+            want = reference_scan(t0, max_den, dens)
             assert classify_specialization(point, max_den) == want
         # every planted pole is found, at its own residue class or earlier
         for (frac, _), point in zip(planted, points):

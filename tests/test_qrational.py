@@ -109,6 +109,24 @@ class TestSingularDens:
             if f.s >= 2:
                 assert q_deform(f).den == q_deform(Frac(f.r % f.s, f.s)).den
 
+    def test_num_is_reflected_row(self):
+        # reflection: num(r/s) is den((s mod r)/r) with its coefficients
+        # reversed; the table has no row for r = 1, where num is q^k
+        table = dict(singular_dens(90))
+        for f in enumerate_fractions(30):
+            num = q_deform(f).num
+            if f.r == 1:
+                assert num.is_monomial() and Frac(0, 1) not in table
+            else:
+                assert num.coeffs == table[Frac(f.s % f.r, f.r)].coeffs[::-1]
+
+    def test_dens_monic_with_unit_constant_term(self):
+        # so -1 is the only rational root any den can have
+        for _, den in singular_dens(60):
+            assert den.low == 0
+            assert den.coeffs[0] == den.coeffs[-1] == 1
+            assert all(c > 0 for c in den.coeffs)
+
 
 class TestQInteger:
     def test_positive(self):

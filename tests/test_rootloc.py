@@ -8,9 +8,9 @@ from qburau.braid import qmod_generator
 from qburau.laurent import LaurentPoly
 from qburau.cfrac import Frac, enumerate_fractions
 from qburau.qrational import q_deform
-from qburau.rootloc import (INNER_CONJ, OUTER_CONJ, RESIDUAL_TOL,
-                            NoConvergence, RootRecord, annulus_check,
-                            rl_power_roots, roots, sigma_sample)
+from qburau.rootloc import (INNER_CONJ, OUTER_CONJ, NoConvergence,
+                            RootRecord, annulus_check, rl_power_roots,
+                            roots, sigma_sample)
 
 
 def P(low, *coeffs):
@@ -29,6 +29,26 @@ def scaled_residual(coeffs, z):
     for c in reversed(cs):
         acc = acc * z + c
     return abs(acc) / len(cs)
+
+
+def reference_sigma_records(max_den, q_deforms, solve):
+    """The sample's records built from one q_deform per enumerated
+    fraction, solving every num and den that is not a constant, sorted by
+    (s, r, part, real, imag).  q_deforms and solve memoize q_deform and
+    rootloc._solve across calls."""
+    records = []
+    for frac in enumerate_fractions(max_den):
+        if frac not in q_deforms:
+            q_deforms[frac] = q_deform(frac)
+        qr = q_deforms[frac]
+        for part, poly in (("num", qr.num), ("den", qr.den)):
+            if len(poly.coeffs) > 1:
+                zs, res = solve(poly.coeffs)
+                records.extend(RootRecord(frac, part, z, float(r))
+                               for z, r in zip(zs, res))
+    records.sort(key=lambda rec: (rec.frac.s, rec.frac.r, rec.part,
+                                  rec.root.real, rec.root.imag))
+    return records
 
 
 class TestRoots:
@@ -148,27 +168,38 @@ class TestSigmaSample:
         solve = rootloc._solve
         calls = []
 
-        def counting_solve(p, tol):
-            calls.append(p.coeffs)
-            return solve(p, tol)
+        def counting_solve(coeffs):
+            calls.append(coeffs)
+            return solve(coeffs)
 
         monkeypatch.setattr(rootloc, "_solve", counting_solve)
         sample = sigma_sample(max_den)
-        # reference: one solve per fraction and part
-        want, polys = [], []
+        polys = []
         for frac in enumerate_fractions(max_den):
             qr = q_deform(frac)
-            for part, poly in (("num", qr.num), ("den", qr.den)):
-                if len(poly.coeffs) > 1:
-                    polys.append(poly.coeffs)
-                    zs, res = solve(poly, RESIDUAL_TOL)
-                    want.extend(RootRecord(frac, part, z, float(r))
-                                for z, r in zip(zs, res))
-        want.sort(key=lambda rec: (rec.frac.s, rec.frac.r, rec.part,
-                                   rec.root.real, rec.root.imag))
+            polys.extend(p.coeffs for p in (qr.num, qr.den)
+                         if len(p.coeffs) > 1)
         assert sorted(calls) == sorted(set(polys))
         assert len(calls) < len(polys)
-        assert sample.records == want
+        assert sample.records == reference_sigma_records(max_den, {}, solve)
+
+    def test_matches_per_fraction_q_deform(self):
+        # every record (frac, part, root, residual) and their order equal,
+        # not close, to the ones from one q_deform per fraction
+        q_deforms, solved = {}, {}
+
+        def solve(coeffs):
+            if coeffs not in solved:
+                solved[coeffs] = rootloc._solve(coeffs)
+            return solved[coeffs]
+
+        for max_den in range(2, 26):
+            want = reference_sigma_records(max_den, q_deforms, solve)
+            sample = sigma_sample(max_den)
+            assert sample.records == want
+            moduli = [rec.modulus for rec in want]
+            assert (sample.min_modulus, sample.max_modulus) == \
+                (min(moduli), max(moduli))
 
 
 class TestRLPowerRoots:
