@@ -26,11 +26,6 @@ class Frac:
     r: int
     s: int
 
-    @property
-    def sort_key(self):
-        """Deterministic enumeration order: by denominator, then numerator."""
-        return (self.s, self.r)
-
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("denominator must be non-negative")

@@ -2,12 +2,14 @@
 representation, the word problem in B3 via its faithfulness, the
 triangular-subgroup decomposition, and Alexander polynomials.
 
-The classifier decides rational points and roots of unity exactly.  Every
-den is monic with constant term 1 and positive coefficients, so its only
-rational root is -1, a root of den(1/2) = 1 + q.  A float point q0 = -t0
-has a pole witness r/s iff the root of den(r/s) nearest q0 lies within
+The classifier decides rational points, roots of unity and the proven
+annulus 3 - 2*sqrt2 <= |t0| <= 3 + 2*sqrt2 exactly, through m = |t0|^2.
+Every den is monic with constant term 1 and positive coefficients, so its
+only rational root is -1, a root of den(1/2) = 1 + q.  A float point q0 =
+-t0 has a pole witness r/s iff the root of den(r/s) nearest q0 lies within
 WITNESS_TOL * (1 + |q0|); since den(r/s) depends only on r mod s, the
-search scans the dens of the r/s with r < s, from qrational.singular_dens.
+search reads the r < s rows of the lazy qrational.singular_dens in (s, r)
+order and builds none past its first witness.
 A missing witness is reported as such, never as a faithfulness verdict:
 the singular set is an infinite union and the search only semi-decides.
 """
@@ -22,9 +24,8 @@ from .laurent import LaurentPoly
 from .braid import BraidWord, QMatrix2, rho3
 from .cfrac import Frac
 from .qrational import singular_dens
-from .rootloc import INNER_PROVEN, OUTER_PROVEN, roots
+from .rootloc import roots
 
-ANNULUS_MARGIN = 1e-9
 WITNESS_TOL = 1e-8       # witness window: |root - q0| <= WITNESS_TOL*(1+|q0|)
 
 
@@ -87,13 +88,13 @@ def parse_point(text):
         n, k = (int(v) for v in text[5:-1].split(","))
         return RootOfUnity(n, k)
     try:
-        return RealValue(_QQ(text))
+        x = _QQ(text)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return ComplexValue(complex(text.replace("i", "j")))
-    except ValueError:
-        raise ValueError("cannot parse specialization point %r" % text)
+        try:
+            x = complex(text.replace("i", "j"))
+        except ValueError:
+            raise ValueError("cannot parse specialization point %r" % text)
+    return RealValue(x) if isinstance(x, _QQ) else ComplexValue(x)
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +152,13 @@ def _may_vanish_near(den, q0, window):
 def classify_specialization(t0, max_den=40):
     """Faithfulness verdict for the Burau representation at t0.
 
-    Rational points and roots of unity are decided exactly.  A float
-    point is faithful outside the proven annulus (beyond ANNULUS_MARGIN),
-    else it gets a pole search over q-analog denominators up to max_den:
-    NoWitnessUpTo means only that the bounded search found nothing.
+    Rational points, roots of unity and the proven annulus are decided
+    exactly.  A float point inside the annulus gets a pole search over
+    q-analog denominators up to max_den, which stops at its first
+    witness: NoWitnessUpTo means only that the search found nothing.
     """
     if max_den < 2:
         raise ValueError("max_den must be >= 2")
-
-    if isinstance(t0, RealValue):
-        x = t0.x
-        if x == -1:                 # the center collapses at t0 = -1
-            return Verdict(UNFAITHFUL_CENTER)
-        if x < 0:                   # positive dens do not vanish at -x > 0
-            return Verdict(FAITHFUL_NEGATIVE_REAL)
-        if (x - 3) ** 2 > 8:        # |x - 3| > 2*sqrt(2), decided exactly
-            return Verdict(FAITHFUL_OUTSIDE_ANNULUS)
-        if x == 1:                  # -1 is the only rational den root
-            return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=Frac(1, 2),
-                           root=complex(-1))
-        return Verdict(NO_WITNESS_UP_TO, max_den=max_den)
 
     if isinstance(t0, RootOfUnity):
         if t0.n == 2 * t0.k:
@@ -181,12 +169,26 @@ def classify_specialization(t0, max_den=40):
         return Verdict(UNFAITHFUL_ROOT_OF_UNITY, witness_frac=Frac(1, d),
                        root=-t0.value())
 
-    q0 = -complex(t0.z)
-    if q0 == 1:
-        return Verdict(UNFAITHFUL_CENTER)
-    if not INNER_PROVEN - ANNULUS_MARGIN <= abs(q0) <= \
-            OUTER_PROVEN + ANNULUS_MARGIN:
+    if isinstance(t0, RealValue):
+        x = t0.x
+        if x == -1:                 # the center collapses at t0 = -1
+            return Verdict(UNFAITHFUL_CENTER)
+        if x < 0:                   # positive dens do not vanish at -x > 0
+            return Verdict(FAITHFUL_NEGATIVE_REAL)
+        m = x * x
+    else:
+        q0 = -complex(t0.z)
+        if q0 == 1:
+            return Verdict(UNFAITHFUL_CENTER)
+        m = _QQ(q0.real) ** 2 + _QQ(q0.imag) ** 2
+    if (m - 17) ** 2 > 288:         # (3 +- 2*sqrt2)^2 = 17 +- 12*sqrt2
         return Verdict(FAITHFUL_OUTSIDE_ANNULUS)
+    if isinstance(t0, RealValue):   # -1 is the only rational den root
+        if x == 1:
+            return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=Frac(1, 2),
+                           root=complex(-1))
+        return Verdict(NO_WITNESS_UP_TO, max_den=max_den)
+
     # bounded search of the singular set; the first hit in (s, r) order
     # has r < s, as den(r/s) = den((r mod s)/s)
     window = WITNESS_TOL * (1 + abs(q0))

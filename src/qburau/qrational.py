@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .laurent import LaurentPoly, ONE, ZERO, Q
 from .braid import rho3
@@ -106,8 +107,8 @@ def q_deform(x):
 
 
 def singular_dens(max_den):
-    """(Frac(r, s), q_deform(Frac(r, s)).den) for every coprime
-    1 <= r < s <= max_den, sorted by (s, r).
+    """Yield (Frac(r, s), q_deform(Frac(r, s)).den) for every coprime
+    1 <= r < s <= max_den, lazily and in (s, r) order.
 
     These are all the q-analog denominators up to max_den: [x+1]_q =
     q[x]_q + 1 (Morier-Genoud and Ovsienko, Forum Math. Sigma 8, 2020), so
@@ -118,22 +119,23 @@ def singular_dens(max_den):
     W.L, so its first column is the sum of W's columns.  A node keeps the
     classical columns (r1, s1), (r2, s2) of W and the bottom row (c, d) of
     W in R_q, L_q; its children are W.L_q, with row (c + d, d/q), and
-    W.R_q, with row (q*c, c + d).
+    W.R_q, with row (q*c, c + d).  A child's s exceeds its parent's, so a
+    heap keyed on (s, r) yields the rows in order; a caller that stops
+    early builds only the rows it read and their children.
     """
-    out = []
-    # the word L: classical columns (1, 1) and (0, 1), q-row (1, q^-1)
-    stack = [(1, 1, 0, 1, ONE, LaurentPoly.monomial(-1))]
-    while stack:
-        r1, s1, r2, s2, c, d = stack.pop()
-        s = s1 + s2
-        if s > max_den:
-            continue
+    # the root is the word L: classical columns (1, 1) and (0, 1), q-row
+    # (1, q^-1).  Each coprime r/s is exactly one Stern-Brocot node, so the
+    # (s, r) keys are unique and the heap never compares the polynomials
+    heap = [(2, 1, 1, 1, 0, 1, ONE, LaurentPoly.monomial(-1))] \
+        if max_den >= 2 else []
+    while heap:
+        s, r, r1, s1, r2, s2, c, d = heappop(heap)
         cd = c + d
-        out.append((Frac(r1 + r2, s), _normalize_pair(ZERO, cd)[1]))
-        stack.append((r1 + r2, s, r2, s2, cd, d.shift(-1)))
-        stack.append((r1, s1, r1 + r2, s, c.shift(1), cd))
-    out.sort(key=lambda pair: pair[0].sort_key)
-    return out
+        yield Frac(r, s), cd.shift(-cd.low)
+        if s + s2 <= max_den:
+            heappush(heap, (s + s2, r + r2, r, s, r2, s2, cd, d.shift(-1)))
+        if s1 + s <= max_den:
+            heappush(heap, (s1 + s, r1 + r, r1, s1, r, s, c.shift(1), cd))
 
 
 def q_integer(n):

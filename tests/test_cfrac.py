@@ -102,7 +102,7 @@ class TestEnumeration:
         fracs = enumerate_fractions(2)
         assert fracs[0] == Frac(1, 1)
         assert Frac(1, 2) in fracs and Frac(3, 2) in fracs and Frac(5, 2) in fracs
-        keys = [f.sort_key for f in fracs]
+        keys = [(f.s, f.r) for f in fracs]
         assert keys == sorted(keys)
 
     def test_matches_brute_force(self):

@@ -120,6 +120,21 @@ class TestSpecialize:
         assert json.loads(out.stdout.splitlines()[-1]) == \
             {"verdict": "NoWitnessUpTo", "max_den": 40}
 
+    def test_just_outside_annulus(self, run):
+        # 5e-10 below 3 - 2*sqrt2 as a float point: decided exactly
+        out = run("specialize", "--t0", "0.17157287475+0i")
+        assert out.returncode == 0
+        assert out.stdout.startswith("FAITHFUL (outside proven annulus)")
+
+    @pytest.mark.parametrize("t0, why", [
+        ("0", "nonzero"), ("0+0i", "nonzero"), ("0/5", "nonzero"),
+        ("nan", "finite"), ("1e400+1i", "finite")])
+    def test_bad_point_named(self, run, t0, why):
+        out = run("specialize", "--t0", t0)
+        assert out.returncode == 2
+        assert "specialization point must be %s" % why in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_usage_error(self, run):
         out = run("specialize", "--t0", "0.5", "--max-den", "1")
         assert out.returncode == 2

@@ -209,7 +209,8 @@ class TestClassifier:
             v = classify_specialization(point, max_den)
             assert v.kind == UNFAITHFUL_POLE_WITNESS
             assert v.witness_frac.r < v.witness_frac.s
-            assert v.witness_frac.sort_key <= (frac.s, frac.r % frac.s)
+            w = v.witness_frac
+            assert (w.s, w.r) <= (frac.s, frac.r % frac.s)
 
     def test_real_annulus_is_exact(self):
         # sqrt8 is 2*sqrt2 rounded down at 20 digits: the points below lie
@@ -222,6 +223,26 @@ class TestClassifier:
         for x in (3 + sqrt8, 3 - sqrt8 + ulp):
             assert classify_specialization(RealValue(x), 4).kind == \
                 NO_WITNESS_UP_TO
+
+    def test_float_annulus_is_exact(self):
+        # 5e-10 outside either circle is outside the proven annulus, at
+        # every argument, with no search
+        inner, outer = INNER_PROVEN - 5e-10, OUTER_PROVEN + 5e-10
+        for t0 in (0.17157287475, inner, -inner, inner * 1j, outer, -outer):
+            assert classify_specialization(ComplexValue(t0), 10).kind == \
+                FAITHFUL_OUTSIDE_ANNULUS
+        # 5e-10 inside either circle is searched
+        inner, outer = INNER_PROVEN + 5e-10, OUTER_PROVEN - 5e-10
+        for t0 in (inner, -inner, inner * 1j, outer, -outer, outer * 1j):
+            assert classify_specialization(ComplexValue(t0), 10) == \
+                Verdict(NO_WITNESS_UP_TO, max_den=10)
+
+    def test_search_stops_at_first_witness(self, built_rows):
+        # the witness 1/2 is the first row of the 27,397 up to 300
+        v = classify_specialization(ComplexValue(1 + 0j), 300)
+        assert v.kind == UNFAITHFUL_POLE_WITNESS
+        assert v.witness_frac == Frac(1, 2) and v.root == -1
+        assert len(built_rows) <= 5
 
     def test_huge_and_tiny_reals(self):
         # too large or too small for a float
