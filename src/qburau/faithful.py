@@ -82,16 +82,21 @@ class ComplexValue:
 
 
 def parse_point(text):
-    """Parse '-1', '1/2', '0.5+0.2i', 'zeta(5,1)' into a specialization point."""
+    """Parse '-1', '1/2', '0.5+0.2i', 'zeta(5,1)' into a specialization
+    point.  Only a trailing 'i' is the imaginary unit, so 'inf+1i' parses
+    and is then rejected as not finite."""
     text = text.strip()
     if text.startswith("zeta(") and text.endswith(")"):
-        n, k = (int(v) for v in text[5:-1].split(","))
+        try:
+            n, k = (int(v) for v in text[5:-1].split(","))
+        except ValueError:
+            raise ValueError("expected zeta(n,k), got %r" % text)
         return RootOfUnity(n, k)
     try:
         x = _QQ(text)
     except (ValueError, ZeroDivisionError):
         try:
-            x = complex(text.replace("i", "j"))
+            x = complex(text[:-1] + "j" if text.endswith("i") else text)
         except ValueError:
             raise ValueError("cannot parse specialization point %r" % text)
     return RealValue(x) if isinstance(x, _QQ) else ComplexValue(x)

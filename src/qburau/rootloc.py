@@ -7,7 +7,10 @@ double-precision copy of the exact integer coefficients (``np.roots``, a
 LAPACK eigensolve, backward stable by Edelman and Murakami, Math. Comp.
 64, 1995).  Real coefficients make complex roots come in exact conjugate
 pairs.  There is no iteration and no polish; every root must pass the
-scaled-residual gate, which fails closed on NaN and inf.
+scaled-residual gate, which fails closed on NaN and inf.  numpy is
+imported inside the two functions that call it, so it loads at the first
+float root solve: exact work, such as q-rationals, Burau matrices and the
+classifier's exact decisions, never imports it.
 
 The singular-set sample reads every polynomial off one table of dens,
 ``qrational.singular_dens``, by [x+1]_q = q[x]_q + 1 and reflection
@@ -18,8 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cfrac import Frac, enumerate_fractions
 from .qrational import rl_product, singular_dens
@@ -47,6 +48,8 @@ def _residuals(coeffs, z):
     reversed polynomial at 1/z, so no power of |z| is formed and the value
     cannot overflow.  A NaN root gives a NaN residual.
     """
+    import numpy as np
+
     out = np.empty(len(z))
     inner = np.abs(z) <= 1.0
     with np.errstate(invalid="ignore"):
@@ -59,6 +62,8 @@ def _solve(coeffs):
     """Roots of the nonzero polynomial with ascending coefficients
     `coeffs`, sorted by (real, imag), and their scaled residuals; raises
     NoConvergence unless every residual <= RESIDUAL_TOL."""
+    import numpy as np
+
     # scale coefficients into float range
     scale = max(abs(c) for c in coeffs)
     coeffs = np.array([c / scale for c in coeffs], dtype=float)
@@ -164,15 +169,19 @@ def annulus_check(sample):
 def rl_power_roots(m):
     """Roots of the four entries of (R_q L_q)^m with their distance to the
     circle |q| = (3-sqrt5)/2.  Returns (records, min_distance); records are
-    (entry_label, root, distance)."""
+    (entry_label, root, distance).  Each distinct coefficient tuple is
+    solved once per call; c = q*b, so the two share one solve."""
     if m < 1:
         raise ValueError("m must be >= 1")
     out = []
+    solved = {}
     for label, poly in zip("abcd", rl_product((1,) * (2 * m))):
-        if poly.is_zero() or len(poly.coeffs) <= 1:
+        if len(poly.coeffs) <= 1:       # zero or a monomial: no roots
             continue
-        for z in roots(poly):
-            out.append((label, z, abs(abs(z) - INNER_CONJ)))
+        if poly.coeffs not in solved:
+            solved[poly.coeffs] = roots(poly)
+        out.extend((label, z, abs(abs(z) - INNER_CONJ))
+                   for z in solved[poly.coeffs])
     min_dist = min(d for _, _, d in out) if out else float("inf")
     return out, min_dist
 

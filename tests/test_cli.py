@@ -1,12 +1,8 @@
 import json
-import os
-import subprocess
-import sys
 from collections import namedtuple
 
 import pytest
 
-import qburau
 from qburau import cli
 from qburau.cli import main
 from qburau.stabilize import StabilizationNotReached
@@ -128,11 +124,19 @@ class TestSpecialize:
 
     @pytest.mark.parametrize("t0, why", [
         ("0", "nonzero"), ("0+0i", "nonzero"), ("0/5", "nonzero"),
-        ("nan", "finite"), ("1e400+1i", "finite")])
+        ("nan", "finite"), ("1e400+1i", "finite"), ("inf+1i", "finite"),
+        ("infi", "finite")])
     def test_bad_point_named(self, run, t0, why):
         out = run("specialize", "--t0", t0)
         assert out.returncode == 2
         assert "specialization point must be %s" % why in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("t0", ["zeta(5,1,2)", "zeta()"])
+    def test_bad_zeta_named(self, run, t0):
+        out = run("specialize", "--t0", t0)
+        assert out.returncode == 2
+        assert "expected zeta(n,k)" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_usage_error(self, run):
@@ -198,15 +202,54 @@ class TestOtherCommands:
         assert "min_distance_to_circle" in out.stdout
 
 
+# Runs each command through main() in one fresh interpreter and prints,
+# per command, its exit code, its stdout and whether numpy was loaded after.
+LAZY_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import qburau, qburau.cli
+report = [["import", 0, "", "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            qburau.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([argv, code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+EXACT_COMMANDS = [
+    ["qrat", "5/2"], ["burau", "ababab"], ["jones", "5/3"],
+    ["alexander", "aBaB"], ["stabilize", "--period", "1", "--order", "8"],
+    ["specialize", "--t0", "1/2"], ["specialize", "--t0", "zeta(5,1)"],
+    ["specialize", "--t0", "10.5+0i"], ["specialize", "--t0", "0.3"],
+    ["specialize", "--t0", "0.5+0.2i"],
+]
+
+SIGMA_3_OUT = """roots: 61
+min_modulus: 0.569840290998
+max_modulus: 1.75487766625
+proven_annulus_violations: 0
+conjectural_annulus_consistent: True
+"""
+
+
 class TestEntryPoint:
-    def test_python_m(self):
-        # the subprocess imports the same qburau as this process, also when
-        # pytest put src/ on sys.path itself and PYTHONPATH is unset
-        src = os.path.dirname(os.path.dirname(qburau.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-m", "qburau.cli", "qrat", "2/3"],
-            capture_output=True, text=True, env=env)
+    def test_python_m(self, fresh_python):
+        out = fresh_python("-m", "qburau.cli", "qrat", "2/3")
         assert out.returncode == 0
         assert "(q + q^2)/(1 + q + q^2)" in out.stdout
+
+    def test_numpy_loads_at_first_root_solve(self, fresh_python):
+        sigma = ["sigma", "--max-den", "3"]
+        out = fresh_python("-c", LAZY_NUMPY_SCRIPT,
+                           json.dumps(EXACT_COMMANDS + [sigma]))
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert [argv for argv, _, _, _ in report] == \
+            ["import"] + EXACT_COMMANDS + [sigma]
+        for argv, code, _, numpy_loaded in report[:-1]:
+            assert code == 0, argv
+            assert not numpy_loaded, argv
+        assert report[-1][1:] == [0, SIGMA_3_OUT, True]

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from qburau import rootloc
 from qburau.braid import qmod_generator
 from qburau.laurent import LaurentPoly
 from qburau.cfrac import Frac, enumerate_fractions
-from qburau.qrational import q_deform
+from qburau.qrational import q_deform, rl_product, rl_products
 from qburau.rootloc import (INNER_CONJ, OUTER_CONJ, NoConvergence,
                             RootRecord, annulus_check, rl_power_roots,
                             roots, sigma_sample)
@@ -105,7 +106,7 @@ class TestRoots:
             zs[0] = bad
             return zs
 
-        monkeypatch.setattr(rootloc.np, "roots", spoiled)
+        monkeypatch.setattr(np, "roots", spoiled)
         with pytest.raises(NoConvergence):
             roots(q_deform(Frac(21, 13)).den)
 
@@ -223,6 +224,33 @@ class TestRLPowerRoots:
     def test_rejects(self):
         with pytest.raises(ValueError):
             rl_power_roots(0)
+
+    def test_c_is_q_times_b(self):
+        # (R_q L_q)^m after every second term of the running product
+        steps = islice(rl_products((1,) * 300), 1, None, 2)
+        for m, (_, b, c, _) in enumerate(steps, 1):
+            assert c == b.shift(1), m
+
+    def test_one_solve_per_distinct_entry(self, monkeypatch):
+        solved = []
+
+        def counting_roots(poly):
+            solved.append(poly.coeffs)
+            return roots(poly)
+
+        for m in range(1, 61):
+            entries = rl_product((1,) * (2 * m))
+            want = [(label, z, abs(abs(z) - INNER_CONJ))
+                    for label, poly in zip("abcd", entries)
+                    if len(poly.coeffs) > 1 for z in roots(poly)]
+            solved.clear()
+            monkeypatch.setattr(rootloc, "roots", counting_roots)
+            records, min_dist = rl_power_roots(m)
+            monkeypatch.undo()
+            assert records == want
+            assert min_dist == min(d for _, _, d in want)
+            assert sorted(solved) == sorted(
+                {p.coeffs for p in entries if len(p.coeffs) > 1})
 
     @pytest.mark.parametrize("m", [55, 75, 80, 110, 150])
     def test_high_degree(self, m):
