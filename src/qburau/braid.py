@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, ONE, ZERO, _pack, _unpack, _width
+from .laurent import LaurentPoly, ONE, Q, ZERO, _pack, _unpack, _width
 
 
 class ConventionMismatch(ValueError):
@@ -18,10 +18,6 @@ class ConventionMismatch(ValueError):
 
 class NotUnitDeterminant(ArithmeticError):
     """Matrix inversion needs a +-monomial determinant."""
-
-
-class ZeroMatrix(ValueError):
-    pass
 
 
 class WordParseError(ValueError):
@@ -147,10 +143,6 @@ class QMatrix2:
         return QMatrix2(over_det(self.d), over_det(-self.b),
                         over_det(-self.c), over_det(self.a), self.variable)
 
-    def scale(self, p):
-        return QMatrix2(self.a * p, self.b * p, self.c * p, self.d * p,
-                        self.variable)
-
     # -- convention bridge -------------------------------------------
 
     def to_q_convention(self):
@@ -159,28 +151,6 @@ class QMatrix2:
             raise ConventionMismatch("matrix is already in q-convention")
         return QMatrix2(*(p.negate_variable() for p in self.entries()),
                         variable="q")
-
-    # -- projective classes ------------------------------------------
-
-    def projective_normalize(self):
-        """Canonical representative of the class {+-q^n * A}.
-
-        The first nonzero entry in reading order gets low = 0 and a
-        positive lowest coefficient.
-        """
-        for p in self.entries():
-            if not p.is_zero():
-                shift = -p.low
-                sign = 1 if p.coeffs[0] > 0 else -1
-                return QMatrix2(
-                    *((e if sign == 1 else -e).shift(shift)
-                      for e in self.entries()),
-                    variable=self.variable)
-        raise ZeroMatrix("zero matrix has no projective class")
-
-    def projective_equal(self, other):
-        self._check_same(other)
-        return self.projective_normalize() == other.projective_normalize()
 
     def __str__(self):
         v = self.variable
@@ -191,20 +161,20 @@ class QMatrix2:
 # Generators
 # ---------------------------------------------------------------------------
 
-_T = LaurentPoly.var()       # the formal variable, named t in this convention
-_TINV = LaurentPoly.monomial(-1)
+# Q and its inverse; the t-convention names the same variable t
+_QINV = LaurentPoly.monomial(-1)
 
 
 def burau_generator(letter):
     """Burau image of a single braid letter, in the t-convention."""
     if letter == 1:
-        return QMatrix2(-_T, ONE, ZERO, ONE, "t")
+        return QMatrix2(-Q, ONE, ZERO, ONE, "t")
     if letter == 2:
-        return QMatrix2(ONE, ZERO, _T, -_T, "t")
+        return QMatrix2(ONE, ZERO, Q, -Q, "t")
     if letter == -1:
-        return QMatrix2(-_TINV, _TINV, ZERO, ONE, "t")
+        return QMatrix2(-_QINV, _QINV, ZERO, ONE, "t")
     if letter == -2:
-        return QMatrix2(ONE, ZERO, ONE, -_TINV, "t")
+        return QMatrix2(ONE, ZERO, ONE, -_QINV, "t")
     raise WordParseError("bad braid letter %r" % (letter,))
 
 
@@ -264,14 +234,11 @@ def _fold_block(entries, letters):
     return tuple(_unpack(x, low, width) for x in (a, b, c, d))
 
 
-_Q = LaurentPoly.var()
-_QINV = LaurentPoly.monomial(-1)
-
 _QMOD = {
-    "R": QMatrix2(_Q, ONE, ZERO, ONE, "q"),
+    "R": QMatrix2(Q, ONE, ZERO, ONE, "q"),
     "Ri": QMatrix2(_QINV, -_QINV, ZERO, ONE, "q"),
     "L": QMatrix2(ONE, ZERO, ONE, _QINV, "q"),
-    "Li": QMatrix2(ONE, ZERO, -_Q, _Q, "q"),
+    "Li": QMatrix2(ONE, ZERO, -Q, Q, "q"),
 }
 
 

@@ -48,11 +48,13 @@ class Frac:
 
     @staticmethod
     def parse(text):
-        text = text.strip()
-        if "/" in text:
-            r, s = text.split("/", 1)
-            return Frac.of(int(r), int(s))
-        return Frac.of(int(text), 1)
+        """'r/s' or 'r', reduced; ValueError names any other text."""
+        r, slash, s = text.strip().partition("/")
+        try:
+            r, s = int(r), int(s) if slash else 1
+        except ValueError:
+            raise ValueError("cannot parse fraction %r" % text) from None
+        return Frac.of(r, s)
 
     def is_infinite(self):
         return self.s == 0

@@ -98,7 +98,7 @@ class LaurentPoly:
         while lo < hi and coeffs[lo] == 0:
             lo += 1
         if lo == hi:
-            return LaurentPoly(0, ())
+            return ZERO
         while coeffs[hi - 1] == 0:
             hi -= 1
         if hi - lo < len(coeffs):
@@ -106,22 +106,9 @@ class LaurentPoly:
         return LaurentPoly(low + lo, coeffs)
 
     @staticmethod
-    def zero():
-        return LaurentPoly(0, ())
-
-    @staticmethod
-    def one():
-        return LaurentPoly(0, (1,))
-
-    @staticmethod
     def monomial(k, c=1):
         """c * q^k"""
         return LaurentPoly.make(k, (c,))
-
-    @staticmethod
-    def var():
-        """The variable itself, q."""
-        return LaurentPoly(1, (1,))
 
     # -- basic queries ------------------------------------------------
 
@@ -165,7 +152,7 @@ class LaurentPoly:
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return LaurentPoly.zero()
+            return ZERO
         low = self.low + other.low
         if len(a) < len(b):
             a, b = b, a
@@ -196,7 +183,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        result = LaurentPoly.one()
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -264,7 +251,7 @@ class LaurentPoly:
         if d.is_zero():
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly.zero()
+            return ZERO
         # Long division of the stripped ordinary polynomials over Z: a
         # quotient coefficient that is not an integer is never exact.
         rem = list(self.coeffs)
@@ -334,12 +321,7 @@ class LaurentPoly:
         """JSON form with coefficients as decimal strings (big-int safe)."""
         return {"low": self.low, "coeffs": [str(c) for c in self.coeffs]}
 
-    @staticmethod
-    def from_json(obj):
-        return LaurentPoly.make(int(obj["low"]),
-                                [int(c) for c in obj["coeffs"]])
 
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-Q = LaurentPoly.var()
+ZERO = LaurentPoly(0, ())
+ONE = LaurentPoly(0, (1,))
+Q = LaurentPoly(1, (1,))      # the variable itself

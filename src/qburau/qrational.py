@@ -5,6 +5,9 @@ word in R_q and L_q.
 Canonical normalization clears the common q-power so that den has lowest
 exponent 0 and a positive constant term; this reproduces the familiar
 displayed forms q/(1+q), (q+q^2)/(1+q+q^2), ...
+
+A q-rational specializes to its rational at q = 1, so q_convergents(terms)
+reads each convergent's fraction off the running product's column there.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from heapq import heappop, heappush
 
 from .laurent import LaurentPoly, ONE, ZERO, Q
 from .braid import rho3
-from .cfrac import Frac, Infinite, NonPositive, to_even_cf
+from .cfrac import Frac, to_even_cf
 
 
 class ZeroNumerator(ValueError):
@@ -76,31 +79,31 @@ def rl_product(terms):
     return deque(rl_products(terms), maxlen=1).pop()
 
 
-def q_convergents(terms, fracs):
-    """The q-analogs of the convergents of the continued fraction `terms`,
-    whose fractions (the values of terms[:1], terms[:2], ...) are `fracs`;
-    None where a fraction is not positive.
+def q_convergents(terms):
+    """The q-analogs of the convergents of the continued fraction `terms`
+    (the values of terms[:1], terms[:2], ...); None where a convergent is
+    not positive.
 
     Consecutive convergents are the two columns of one prefix product:
     convergent m is the second column of the m-term product when m is
-    odd, the first column when m is even.
+    odd, the first column when m is even.  A q-rational specializes to
+    its rational at q = 1, so the column's values there are the
+    convergent's numerator and denominator; the product's determinant is
+    a power of q, so the two are coprime.
     """
-    steps = zip(rl_products(terms), fracs)
-    for m, ((a, b, c, d), frac) in enumerate(steps, 1):
+    for m, (a, b, c, d) in enumerate(rl_products(terms), 1):
+        num, den = (b, d) if m % 2 else (a, c)
+        frac = Frac.of(num.eval_at_one(), den.eval_at_one())
         if not frac.is_positive():
             yield None
             continue
-        num, den = _normalize_pair(b, d) if m % 2 else _normalize_pair(a, c)
-        yield QRational(frac, num, den)
+        yield QRational(frac, *_normalize_pair(num, den))
 
 
 def q_deform(x):
     """The q-analog of a positive fraction, from the first column of the
-    deformed continued-fraction matrix."""
-    if x.is_infinite():
-        raise Infinite("no q-analog of infinity as a QRational")
-    if not x.is_positive():
-        raise NonPositive("q_deform defined for positive fractions")
+    deformed continued-fraction matrix.  Raises cfrac.Infinite or
+    cfrac.NonPositive for any other fraction."""
     a, _, c, _ = rl_product(to_even_cf(x).a)
     num, den = _normalize_pair(a, c)
     return QRational(x, num, den)

@@ -79,8 +79,12 @@ def _solve(coeffs):
 
 
 def roots(p):
-    """All roots of p with q^low stripped, multiplicities by repetition,
-    sorted by (real, imag).
+    """All roots of p with q^low stripped, sorted by (real, imag).
+
+    A root of multiplicity k is reported k times, as k nearby floats: a
+    repeated root carries a forward error near the k-th root of the
+    backward error.  den(17/48) = (1+q)^3 Phi_3 Phi_4 Phi_6 gives three
+    roots, each 9.9e-6 from -1.
 
     Each root satisfies |p(z)| <= RESIDUAL_TOL * max|coeff| * (deg+1) *
     max(1,|z|)^deg; raises NoConvergence otherwise, also when a root is
@@ -93,6 +97,9 @@ def roots(p):
 
 @dataclass(frozen=True)
 class RootRecord:
+    """One root of one polynomial of a fraction.  A root of multiplicity
+    k gives k records, one per float that roots() reports for it."""
+
     frac: object            # Frac
     part: str               # "num" or "den"
     root: complex

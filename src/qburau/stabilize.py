@@ -4,7 +4,8 @@ the q-analog of the irrational as an integer power series.
 
 Consecutive convergents are the two columns of one prefix product
 R_q^a1 L_q^a2 ..., so every convergent's q-analog is read off a single
-running product (``qrational.q_convergents``) instead of being rebuilt.
+running product (``qrational.q_convergents(terms)``) instead of being
+rebuilt, and its fraction is that column's value at q = 1.
 """
 from __future__ import annotations
 
@@ -37,9 +38,6 @@ class PowerSeries:
     @property
     def order(self):
         return len(self.coeffs)
-
-    def prefix(self, k):
-        return PowerSeries(self.coeffs[:k])
 
     def __str__(self):
         parts = []
@@ -101,13 +99,6 @@ def convergent(x, m):
     return cf_value(x.terms(m))
 
 
-def _q_convergents(x, m_max):
-    """The q-analogs of convergents 1 .. m_max of x, read off one running
-    product (None where a convergent is not positive)."""
-    return q_convergents(x.terms(m_max),
-                         (convergent(x, m) for m in range(1, m_max + 1)))
-
-
 def stabilized_series(x, order, m_cap=M_CAP):
     """Taylor coefficients of the q-analog of the irrational x.
 
@@ -116,7 +107,7 @@ def stabilized_series(x, order, m_cap=M_CAP):
     index of the agreeing triple.
     """
     prev, run = None, 0
-    for m, qr in enumerate(_q_convergents(x, m_cap), 1):
+    for m, qr in enumerate(q_convergents(x.terms(m_cap)), 1):
         series = None if qr is None else taylor(qr, order)
         run = run + 1 if series is not None and series == prev else 1
         if run == 3:
@@ -132,7 +123,7 @@ def agreement_orders(x, m_max, probe_order=120):
     stabilization rate."""
     # a nonpositive convergent has no coefficients, so it agrees on none
     coeffs = [() if qr is None else taylor(qr, probe_order).coeffs
-              for qr in _q_convergents(x, m_max)]
+              for qr in q_convergents(x.terms(m_max))]
     return [len(list(takewhile(bool, map(operator.eq, prev, cur))))
             for prev, cur in zip(coeffs, coeffs[1:])]
 
@@ -157,7 +148,7 @@ def radius_estimate(x, m):
         raise ValueError("m must be >= 2")
     # the q-analogs of convergents m-2 and m (None when m-2 = 0)
     prev, cur = map(_min_den_root_modulus,
-                    [None, *_q_convergents(x, m)][-3::2])
+                    [None, *q_convergents(x.terms(m))][-3::2])
     if math.isinf(prev) or math.isinf(cur):
         return cur
     weight = m * m / (m * m - (m - 2) * (m - 2))

@@ -4,17 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qburau.laurent import LaurentPoly, ONE, ZERO
+from qburau.laurent import LaurentPoly, ONE, Q, ZERO
 from qburau.braid import (BraidWord, ConventionMismatch, NotUnitDeterminant,
-                          QMatrix2, WordParseError, ZeroMatrix, _BLOCK,
+                          QMatrix2, WordParseError, _BLOCK,
                           burau_generator, qmod_generator, rho3)
 
 
 def P(low, *coeffs):
     return LaurentPoly.make(low, coeffs)
-
-
-T = LaurentPoly.var()
 
 
 def generator_product(w):
@@ -47,10 +44,10 @@ class TestWordParsing:
 
 class TestGenerators:
     def test_sigma1(self):
-        assert burau_generator(1) == QMatrix2(-T, ONE, ZERO, ONE, "t")
+        assert burau_generator(1) == QMatrix2(-Q, ONE, ZERO, ONE, "t")
 
     def test_sigma2(self):
-        assert burau_generator(2) == QMatrix2(ONE, ZERO, T, -T, "t")
+        assert burau_generator(2) == QMatrix2(ONE, ZERO, Q, -Q, "t")
 
     def test_inverses_multiply_to_identity(self):
         ident = QMatrix2.identity("t")
@@ -62,8 +59,7 @@ class TestGenerators:
         assert burau_generator(-1) == QMatrix2(P(-1, -1), P(-1, 1), ZERO, ONE, "t")
 
     def test_qmod_generators(self):
-        q = LaurentPoly.var()
-        assert qmod_generator("R") == QMatrix2(q, ONE, ZERO, ONE, "q")
+        assert qmod_generator("R") == QMatrix2(Q, ONE, ZERO, ONE, "q")
         assert qmod_generator("L") == QMatrix2(ONE, ZERO, ONE, P(-1, 1), "q")
         ident = QMatrix2.identity("q")
         assert qmod_generator("Ri") * qmod_generator("R") == ident
@@ -125,8 +121,8 @@ class TestMatrixAlgebra:
         assert m == QMatrix2(P(0, 1, 1), P(-1, 1), ONE, P(-1, 1), "q")
 
     def test_det_trace(self):
-        assert qmod_generator("R").det() == LaurentPoly.var()
-        assert burau_generator(1).det() == -T
+        assert qmod_generator("R").det() == Q
+        assert burau_generator(1).det() == -Q
         tr = rho3(BraidWord.parse("aBaB")).to_q_convention().trace()
         assert tr == P(-2, 1, 2, 1, 2, 1)
 
@@ -160,30 +156,6 @@ class TestConventionBridge:
     def test_double_conversion_rejected(self):
         with pytest.raises(ConventionMismatch):
             burau_generator(1).to_q_convention().to_q_convention()
-
-
-class TestProjective:
-    def test_center_class_is_identity(self):
-        m = rho3(BraidWord.parse("ababab"))
-        assert m.projective_normalize() == QMatrix2.identity("t")
-
-    def test_scalar_class(self):
-        r = qmod_generator("R")
-        scaled = r.scale(LaurentPoly.monomial(5, -1))
-        assert scaled.projective_equal(r)
-        assert scaled.projective_normalize() == r.projective_normalize()
-
-    def test_idempotent(self):
-        m = rho3(BraidWord.parse("aBaB"))
-        once = m.projective_normalize()
-        assert once.projective_normalize() == once
-
-    def test_distinct_classes(self):
-        assert not qmod_generator("R").projective_equal(qmod_generator("L"))
-
-    def test_zero_matrix(self):
-        with pytest.raises(ZeroMatrix):
-            QMatrix2(ZERO, ZERO, ZERO, ZERO, "q").projective_normalize()
 
 
 class TestInvariantProperties:

@@ -32,6 +32,13 @@ class TestQrat:
         assert out.returncode == 0
         assert "1 + q" in out.stdout
 
+    @pytest.mark.parametrize("text", ["abc", "1/2/3", ""])
+    def test_unparsable_fraction_named(self, run, text):
+        out = run("qrat", text)
+        assert out.returncode == 2
+        assert "usage error: cannot parse fraction %r" % text in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_json(self, run):
         out = run("qrat", "5/3", "--format", "json")
         data = json.loads(out.stdout)

@@ -6,12 +6,12 @@ import pytest
 
 from qburau import rootloc
 from qburau.braid import qmod_generator
-from qburau.laurent import LaurentPoly
+from qburau.laurent import LaurentPoly, ZERO
 from qburau.cfrac import Frac, enumerate_fractions
 from qburau.qrational import q_deform, rl_product, rl_products
-from qburau.rootloc import (INNER_CONJ, OUTER_CONJ, NoConvergence,
-                            RootRecord, annulus_check, rl_power_roots,
-                            roots, sigma_sample)
+from qburau.rootloc import (INNER_CONJ, INNER_PROVEN, OUTER_CONJ,
+                            NoConvergence, RootRecord, annulus_check,
+                            rl_power_roots, roots, sigma_sample)
 
 
 def P(low, *coeffs):
@@ -71,7 +71,7 @@ class TestRoots:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            roots(LaurentPoly.zero())
+            roots(ZERO)
 
     def test_conjugate_symmetry(self):
         got = roots(q_deform(Frac(13, 8)).den)
@@ -92,6 +92,12 @@ class TestRoots:
             scale = max(abs(c) for c in poly.coeffs)
             for got, want in zip(coeffs, poly.coeffs):
                 assert abs(got * lead - want) <= 1e-8 * scale
+
+    def test_repeated_root_reported_once_per_multiplicity(self):
+        # den(17/48) = (1+q)^3 Phi_3 Phi_4 Phi_6: degree 9, triple root -1
+        zs = roots(q_deform(Frac(17, 48)).den)
+        assert len(zs) == 9
+        assert sum(abs(z + 1) < 1e-4 for z in zs) == 3
 
     def test_determinism(self):
         p = q_deform(Frac(21, 13)).den
@@ -251,6 +257,17 @@ class TestRLPowerRoots:
             assert min_dist == min(d for _, _, d in want)
             assert sorted(solved) == sorted(
                 {p.coeffs for p in entries if len(p.coeffs) > 1})
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="float roots of high degree have large "
+                              "forward error; m = 99 reports |z| = 0.1689")
+    @pytest.mark.parametrize("m", [99, 150])
+    def test_roots_in_proven_annulus(self, m):
+        # the entries are nums and dens of q-analogs of Fibonacci ratios,
+        # num roots are reciprocals of den roots, and the proven annulus
+        # 3-2*sqrt2 <= |q| <= 3+2*sqrt2 is closed under inversion
+        records, _ = rl_power_roots(m)
+        assert min(abs(z) for _, z, _ in records) >= INNER_PROVEN
 
     @pytest.mark.parametrize("m", [55, 75, 80, 110, 150])
     def test_high_degree(self, m):

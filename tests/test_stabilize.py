@@ -155,8 +155,10 @@ class TestQConvergents:
 
     @pytest.mark.parametrize("x", CFS, ids=str)
     def test_matches_per_convergent_q_deform(self, x):
+        # the reference fractions come from the classical continued
+        # fraction, so this also checks each fraction read off at q = 1
         fracs = [convergent(x, m) for m in range(1, self.M + 1)]
-        got = list(q_convergents(x.terms(self.M), iter(fracs)))
+        got = list(q_convergents(x.terms(self.M)))
         assert len(got) == self.M
         for frac, qr in zip(fracs, got):
             if not frac.is_positive():
@@ -166,22 +168,29 @@ class TestQConvergents:
             assert (qr.frac, qr.num, qr.den) == (ref.frac, ref.num, ref.den)
 
     def test_preperiod_zero_gives_none_first(self):
-        got = list(q_convergents([0, 1, 1], map(Frac.of, [0, 1, 1], [1, 1, 2])))
+        got = list(q_convergents([0, 1, 1]))
         assert got[0] is None
         assert [qr.frac for qr in got[1:]] == [Frac(1, 1), Frac(1, 2)]
 
+    def test_interior_zero_term_gives_none(self):
+        # [1, 0] = 1 + 1/0 is infinite: its column has den 0, so no
+        # normalization (which rejects a zero den) is attempted
+        got = list(q_convergents([1, 0, 2]))
+        assert got[1] is None
+        assert [got[0].frac, got[2].frac] == [Frac(1, 1), Frac(3, 1)]
+
     def test_lazy(self):
         # the products stop where the consumer stops
-        calls = []
+        consumed = []
 
-        def fracs():
-            for m in range(1, M_CAP + 1):
-                calls.append(m)
-                yield convergent(GOLDEN, m)
+        def terms():
+            for a in GOLDEN.terms(M_CAP):
+                consumed.append(a)
+                yield a
 
-        stream = q_convergents(GOLDEN.terms(M_CAP), fracs())
+        stream = q_convergents(terms())
         next(stream), next(stream)
-        assert calls == [1, 2]
+        assert len(consumed) == 2
 
 
 class TestMatchesPerConvergentRebuild:
