@@ -209,10 +209,12 @@ def crit12_alexander(n_pairs=1000):
 
 
 def crit13_stabilization():
+    # convergents m-1 and m of the golden ratio agree on 2*(m//2) - 1
+    # coefficients
     orders = agreement_orders(GOLDEN, 20)
-    monotone = all(a <= b for a, b in zip(orders, orders[1:]))
+    exact = orders == [2 * (m // 2) - 1 for m in range(2, 21)]
     series, stable_at = stabilized_series(GOLDEN, 10)
-    ok = monotone and stable_at <= 25 and series.order == 10
+    ok = exact and stable_at <= 25 and series.order == 10
     return ok, "agreement orders %s, stable_at_m=%d" % (orders, stable_at)
 
 

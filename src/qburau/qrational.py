@@ -5,9 +5,6 @@ word in R_q and L_q.
 Canonical normalization clears the common q-power so that den has lowest
 exponent 0 and a positive constant term; this reproduces the familiar
 displayed forms q/(1+q), (q+q^2)/(1+q+q^2), ...
-
-A q-rational specializes to its rational at q = 1, so q_convergents(terms)
-reads each convergent's fraction off the running product's column there.
 """
 from __future__ import annotations
 
@@ -77,27 +74,6 @@ def rl_products(terms):
 def rl_product(terms):
     """The entries of the whole word R_q^a1 L_q^a2 ... (terms nonempty)."""
     return deque(rl_products(terms), maxlen=1).pop()
-
-
-def q_convergents(terms):
-    """The q-analogs of the convergents of the continued fraction `terms`
-    (the values of terms[:1], terms[:2], ...); None where a convergent is
-    not positive.
-
-    Consecutive convergents are the two columns of one prefix product:
-    convergent m is the second column of the m-term product when m is
-    odd, the first column when m is even.  A q-rational specializes to
-    its rational at q = 1, so the column's values there are the
-    convergent's numerator and denominator; the product's determinant is
-    a power of q, so the two are coprime.
-    """
-    for m, (a, b, c, d) in enumerate(rl_products(terms), 1):
-        num, den = (b, d) if m % 2 else (a, c)
-        frac = Frac.of(num.eval_at_one(), den.eval_at_one())
-        if not frac.is_positive():
-            yield None
-            continue
-        yield QRational(frac, *_normalize_pair(num, den))
 
 
 def q_deform(x):

@@ -3,19 +3,22 @@ expansions along the convergents of a quadratic irrational, which defines
 the q-analog of the irrational as an integer power series.
 
 Consecutive convergents are the two columns of one prefix product
-R_q^a1 L_q^a2 ..., so every convergent's q-analog is read off a single
-running product (``qrational.q_convergents(terms)``) instead of being
-rebuilt, and its fraction is that column's value at q = 1.
+R_q^a1 L_q^a2 ... of determinant q^(a1 - a2 + a3 - ...), so their
+expansions agree on exactly as many coefficients as an exponent read off
+the terms with integer arithmetic (``agreement_orders``).  Stabilization
+is decided from these exponents, and only the convergent returned is
+deformed and expanded.
 """
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, cycle, islice, takewhile
+from itertools import chain, cycle, islice
 from dataclasses import dataclass
 
 from .cfrac import cf_value
-from .qrational import q_convergents
+from .laurent import LaurentPoly
+from .qrational import q_deform
 from .rootloc import roots
 
 M_CAP = 200
@@ -40,15 +43,7 @@ class PowerSeries:
         return len(self.coeffs)
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "q^%d" % k if k else "1"
-            if abs(c) != 1 or k == 0:
-                term = ("%d" % abs(c)) if k == 0 else "%d*%s" % (abs(c), term)
-            parts.append((("+ " if parts else "") if c > 0 else "- ") + term)
-        return " ".join(parts) if parts else "0"
+        return LaurentPoly.make(0, self.coeffs).to_str()
 
 
 @dataclass(frozen=True)
@@ -102,36 +97,61 @@ def convergent(x, m):
 def stabilized_series(x, order, m_cap=M_CAP):
     """Taylor coefficients of the q-analog of the irrational x.
 
-    Increases m until three consecutive convergents agree on the first
-    `order` coefficients; returns (PowerSeries, m) where m is the first
-    index of the agreeing triple.
+    Finds the first m <= m_cap - 2 at which convergents m, m+1 and m+2
+    agree on the first `order` coefficients; returns (PowerSeries, m).
     """
-    prev, run = None, 0
-    for m, qr in enumerate(q_convergents(x.terms(m_cap)), 1):
-        series = None if qr is None else taylor(qr, order)
-        run = run + 1 if series is not None and series == prev else 1
-        if run == 3:
-            return series, m - 2
-        prev = series
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    orders = agreement_orders(x, m_cap)
+    for m, (e1, e2) in enumerate(zip(orders, orders[1:]), 1):
+        if e1 >= order and e2 >= order:
+            return taylor(q_deform(convergent(x, m)), order), m
     raise StabilizationNotReached(
         "no stable prefix of order %d within m <= %d" % (order, m_cap))
 
 
-def agreement_orders(x, m_max, probe_order=120):
-    """Length of the common coefficient prefix between consecutive
-    convergents' expansions, for m = 1 .. m_max-1.  Diagnostic for the
-    stabilization rate."""
-    # a nonpositive convergent has no coefficients, so it agrees on none
-    coeffs = [() if qr is None else taylor(qr, probe_order).coeffs
-              for qr in q_convergents(x.terms(m_max))]
-    return [len(list(takewhile(bool, map(operator.eq, prev, cur))))
-            for prev, cur in zip(coeffs, coeffs[1:])]
+def agreement_orders(x, m_max):
+    """Length of the common coefficient prefix between the expansions of
+    convergents m and m+1, for m = 1 .. m_max-1.  Diagnostic for the
+    stabilization rate.
+
+    Convergents m and m+1 are the columns of the (m+1)-term product
+    P = R_q^a1 L_q^a2 ..., and det P = q^D with D = a1 - a2 + a3 - ....
+    Every entry of R_q^a and L_q^a has nonnegative coefficients, so no
+    sum in P cancels and a sum's lowest exponent is the least of its
+    terms' lowest exponents; this gives the lows lc, ld of P's bottom
+    row (c, d), the convergents' dens.  Shifting each column so its den
+    starts at q^0 turns the cross product into +-q^(D - lc - ld), and
+    both dens have constant term 1, so the two expansions first differ
+    at that exponent.  A convergent equal to 0 (first term 0) agrees on
+    none.
+    """
+    terms = x.terms(m_max)
+    out = []
+    det_exp, lc, ld = 0, math.inf, 0      # P = identity: c = 0, d = 1
+    for i, a in enumerate(terms):
+        if i % 2 == 0:      # R_q^a: c -> q^a c, d -> [a]_q c + d
+            det_exp += a
+            lc, ld = lc + a, min(lc, ld)
+        else:               # L_q^a: c -> c + q^(1-a) [a]_q d, d -> q^-a d
+            det_exp -= a
+            lc, ld = min(lc, ld + 1 - a), ld - a
+        if i >= 1:
+            out.append(0 if i == 1 and terms[0] == 0
+                       else det_exp - lc - ld)
+    return out
 
 
-def _min_den_root_modulus(qr):
-    if qr is None or len(qr.den.coeffs) <= 1:
-        return float("inf")
-    return min(abs(z) for z in roots(qr.den))
+def _min_den_root_modulus(x, k):
+    """Least den root modulus of the q-analog of convergent k; inf when
+    there is none (k < 1, a convergent that is not positive, a constant
+    den)."""
+    if k < 1 or not (frac := convergent(x, k)).is_positive():
+        return math.inf
+    den = q_deform(frac).den
+    if len(den.coeffs) <= 1:
+        return math.inf
+    return min(abs(z) for z in roots(den))
 
 
 def radius_estimate(x, m):
@@ -146,9 +166,7 @@ def radius_estimate(x, m):
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    # the q-analogs of convergents m-2 and m (None when m-2 = 0)
-    prev, cur = map(_min_den_root_modulus,
-                    [None, *q_convergents(x.terms(m))][-3::2])
+    prev, cur = _min_den_root_modulus(x, m - 2), _min_den_root_modulus(x, m)
     if math.isinf(prev) or math.isinf(cur):
         return cur
     weight = m * m / (m * m - (m - 2) * (m - 2))
