@@ -6,7 +6,7 @@ import pytest
 from qburau.cfrac import Frac, NonPositive
 from qburau.laurent import LaurentPoly, ONE
 from qburau import stabilize
-from qburau.qrational import QRational, q_deform
+from qburau.qrational import QRational, q_deform, rl_products
 from qburau.rootloc import roots
 from qburau.stabilize import (GOLDEN, M_CAP, NonUnitConstantTerm, PeriodicCF,
                               PowerSeries, StabilizationNotReached,
@@ -152,6 +152,42 @@ class TestPeriodicCF:
             PeriodicCF((), ())
         with pytest.raises(ValueError):
             PeriodicCF((), (0,))
+
+
+class TestProductColumns:
+    """The facts agreement_orders reads its orders from, checked on the
+    polynomials of the running product P_m = R_q^a1 L_q^a2 ... ."""
+    M = 40
+
+    @pytest.mark.parametrize("x", CFS, ids=str)
+    def test_columns_are_q_convergents(self, x):
+        # convergent m is P_m's second column when m is odd, its first
+        # when m is even; the column is its q-analog up to a q-power and
+        # sign, and specializes to the classical fraction at q = 1
+        for m, (a, b, c, d) in enumerate(rl_products(x.terms(self.M)), 1):
+            num, den = (b, d) if m % 2 else (a, c)
+            frac = convergent(x, m)
+            assert Frac.of(num.eval_at_one(), den.eval_at_one()) == frac
+            if not frac.is_positive():
+                continue
+            num, den = num.shift(-den.low), den.shift(-den.low)
+            if den.coeffs[0] < 0:
+                num, den = -num, -den
+            ref = q_deform(frac)
+            assert (num, den) == (ref.num, ref.den)
+
+    @pytest.mark.parametrize("x", CFS, ids=str)
+    def test_orders_are_determinant_exponent_less_den_lows(self, x):
+        terms = x.terms(self.M)
+        orders = agreement_orders(x, self.M)
+        det_exp = 0
+        for m, (a, b, c, d) in enumerate(rl_products(terms), 1):
+            det_exp += terms[m - 1] if m % 2 else -terms[m - 1]
+            assert a * d - b * c == LaurentPoly.monomial(det_exp)
+            if m == 2 and terms[0] == 0:
+                assert orders[0] == 0   # convergent 1 is 0
+            elif m >= 2:
+                assert orders[m - 2] == det_exp - c.low - d.low
 
 
 class TestMatchesPerConvergentRebuild:
