@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .braid import BraidWord, WordParseError, rho3
@@ -131,6 +132,10 @@ def cmd_stabilize(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     series, stable_at = stabilized_series(cf, args.order)
+    radius = args.radius_m and radius_estimate(cf, args.radius_m)
+    if not math.isfinite(radius):
+        raise UsageError("no radius estimate at m = %d, an integer "
+                         "convergent; use --radius-m >= 3" % args.radius_m)
     if args.format == "json":
         print(json.dumps({"order": series.order,
                           "coeffs": list(series.coeffs),
@@ -140,7 +145,7 @@ def cmd_stabilize(args):
         print("stable_at_m: %d" % stable_at)
     if args.radius_m:
         print("radius_estimate(m=%d): %.10f"
-              % (args.radius_m, radius_estimate(cf, args.radius_m)))
+              % (args.radius_m, radius))
 
 
 def cmd_rlroots(args):
@@ -215,10 +220,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        sys.exit(EXIT_USAGE)
-    except (NonPositive, Infinite) as exc:
+    except (UsageError, NonPositive, Infinite) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_USAGE)
     except (NoConvergence, StabilizationNotReached) as exc:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as _QQ
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, ONE
 from .braid import BraidWord, QMatrix2, rho3
 from .cfrac import Frac
 from .qrational import singular_dens
@@ -265,14 +265,12 @@ _ALEX_DIVISOR = LaurentPoly(0, (1, 1, 1))   # 1 + t + t^2
 
 
 def alexander(word):
-    """Alexander polynomial of the closure of a 3-braid, via
-    det(I - rho3) divided by 1 + t + t^2, normalized to lowest exponent 0
-    with positive lowest coefficient."""
-    mat = rho3(word)
-    ident = QMatrix2.identity("t")
-    diff = QMatrix2(ident.a - mat.a, ident.b - mat.b,
-                    ident.c - mat.c, ident.d - mat.d, "t")
-    quot = diff.det().exact_divide(_ALEX_DIVISOR)
+    """Alexander polynomial of the closure of a 3-braid: det(I - rho3) =
+    1 - tr rho3 + (-t)^e, with e the exponent sum, divided by 1 + t + t^2
+    and normalized to lowest exponent 0 with positive lowest coefficient."""
+    e = word.exponent_sum()
+    quot = (ONE - rho3(word).trace() + LaurentPoly.monomial(
+        e, -1 if e % 2 else 1)).exact_divide(_ALEX_DIVISOR)
     if quot.is_zero():
         return quot
     quot = quot.shift(-quot.low)

@@ -21,9 +21,6 @@ from .laurent import LaurentPoly
 from .qrational import q_deform
 from .rootloc import roots
 
-M_CAP = 200
-
-
 class NonUnitConstantTerm(ArithmeticError):
     """Series division needs a +-1 constant term in the denominator."""
 
@@ -94,20 +91,23 @@ def convergent(x, m):
     return cf_value(x.terms(m))
 
 
-def stabilized_series(x, order, m_cap=M_CAP):
+def stabilized_series(x, order):
     """Taylor coefficients of the q-analog of the irrational x.
 
-    Finds the first m <= m_cap - 2 at which convergents m, m+1 and m+2
-    agree on the first `order` coefficients; returns (PowerSeries, m).
+    Finds the first m at which convergents m, m+1 and m+2 agree on the
+    first `order` coefficients; returns (PowerSeries, m).  m <= 2*order+1,
+    as orders[2k] >= k in agreement_orders: with g = lc - ld, an L step
+    leaves g <= 1, the next R step (term >= 1) lowers no order and leaves
+    g >= 1, and the L step after it (term b >= 1) adds g + b - 1 >= 1.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    orders = agreement_orders(x, m_cap)
+    orders = agreement_orders(x, 2 * order + 3)
     for m, (e1, e2) in enumerate(zip(orders, orders[1:]), 1):
         if e1 >= order and e2 >= order:
             return taylor(q_deform(convergent(x, m)), order), m
-    raise StabilizationNotReached(
-        "no stable prefix of order %d within m <= %d" % (order, m_cap))
+    raise StabilizationNotReached("no stable prefix of order %d within "
+                                  "the bound m <= %d" % (order, 2 * order + 1))
 
 
 def agreement_orders(x, m_max):

@@ -180,6 +180,21 @@ class TestOtherCommands:
         assert "usage error:" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_stabilize_high_order(self, run):
+        out = run("stabilize", "--period", "1", "--order", "300")
+        assert out.returncode == 0
+        assert "stable_at_m: 301" in out.stdout
+
+    @pytest.mark.parametrize("preperiod", ["", "0"])
+    def test_stabilize_integer_radius_convergent(self, run, preperiod):
+        # convergent 2 is an integer, so its den has no root to estimate by
+        out = run("stabilize", "--preperiod", preperiod, "--period", "1",
+                  "--radius-m", "2")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "usage error:" in out.stderr and "m = 2" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_stabilize_zero_convergent(self, run):
         # x = [0; 1, 1, ...] has convergent 1 = 0, two before m = 3
         out = run("stabilize", "--preperiod", "0", "--period", "1",

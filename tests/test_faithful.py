@@ -6,7 +6,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from qburau.laurent import LaurentPoly
-from qburau.braid import BraidWord, rho3
+from qburau.braid import BraidWord, QMatrix2, rho3
 from qburau.cfrac import Frac, enumerate_fractions
 from qburau.qrational import q_deform, q_integer, singular_dens
 from qburau.rootloc import INNER_PROVEN, OUTER_PROVEN, roots
@@ -46,6 +46,19 @@ def reference_scan(t0, max_den, dens):
             return Verdict(UNFAITHFUL_POLE_WITNESS, witness_frac=frac,
                            root=root)
     return Verdict(NO_WITNESS_UP_TO, max_den=max_den)
+
+
+def reference_alexander(word):
+    """det(I - rho3) with the matrix built and multiplied out, divided by
+    1 + t + t^2 and normalized."""
+    mat, ident = rho3(word), QMatrix2.identity("t")
+    diff = QMatrix2(*(i - m for i, m in zip(ident.entries(), mat.entries())),
+                    variable="t")
+    quot = diff.det().exact_divide(P(0, 1, 1, 1))
+    if quot.is_zero():
+        return quot
+    quot = quot.shift(-quot.low)
+    return -quot if quot.coeffs[0] < 0 else quot
 
 
 def random_word(rng, max_len):
@@ -331,6 +344,14 @@ class TestAlexander:
     def test_center_word(self):
         # det(I - t^3 Id) = (1-t^3)^2; divided by 1+t+t^2: (1-t)(1-t^3)
         assert alexander(BraidWord.parse("ababab")) == P(0, 1, -1, 0, -1, 1)
+
+    def test_matches_multiplied_out_determinant(self):
+        rng = random.Random(17)
+        words = [BraidWord(()), BraidWord.parse("AB"), BraidWord.parse("AAb")]
+        words += [random_word(rng, 300) for _ in range(2000)]
+        assert any(w.exponent_sum() < 0 for w in words)
+        for w in words:
+            assert alexander(w) == reference_alexander(w)
 
     def test_conjugation_invariance(self):
         rng = random.Random(6)

@@ -1,6 +1,7 @@
 """Source hygiene, read with ``ast`` alone: no library module imports a
-name it never uses, and every function or method the library defines is
-named somewhere besides its own ``def``."""
+name it never uses, every function or method the library defines is
+named somewhere besides its own ``def``, and every module-level
+UPPER_CASE constant is read somewhere besides its own assignment."""
 import ast
 from pathlib import Path
 
@@ -54,13 +55,18 @@ def test_no_unused_imports(library):
     assert not unused
 
 
-def test_every_definition_is_named_elsewhere(library):
+@pytest.fixture(scope="module")
+def everywhere(library):
+    """The library's trees and those of tests/ and perfbench/."""
+    return list(library.values()) + [
+        parse(path) for folder in ("tests", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+def test_every_definition_is_named_elsewhere(library, everywhere):
     named = set()
-    for tree in library.values():
+    for tree in everywhere:
         named.update(references(tree))
-    for folder in ("tests", "perfbench"):
-        for path in (ROOT / folder).glob("*.py"):
-            named.update(references(parse(path)))
     uncalled = sorted(
         "%s:%s" % (name, node.name)
         for name, tree in library.items() for node in ast.walk(tree)
@@ -68,3 +74,17 @@ def test_every_definition_is_named_elsewhere(library):
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in named)
     assert not uncalled
+
+
+def test_every_constant_is_read(library, everywhere):
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in everywhere for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted(
+        "%s:%s" % (name, target.id)
+        for name, tree in library.items() for node in tree.body
+        if isinstance(node, ast.Assign) for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+        and target.id not in read)
+    assert not unread

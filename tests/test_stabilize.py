@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,10 +9,9 @@ from qburau.laurent import LaurentPoly, ONE
 from qburau import stabilize
 from qburau.qrational import QRational, q_deform, rl_products
 from qburau.rootloc import roots
-from qburau.stabilize import (GOLDEN, M_CAP, NonUnitConstantTerm, PeriodicCF,
-                              PowerSeries, StabilizationNotReached,
-                              agreement_orders, convergent, radius_estimate,
-                              stabilized_series, taylor)
+from qburau.stabilize import (GOLDEN, NonUnitConstantTerm, PeriodicCF,
+                              PowerSeries, agreement_orders, convergent,
+                              radius_estimate, stabilized_series, taylor)
 
 
 # The per-convergent expansions that the determinant exponents replaced,
@@ -24,9 +24,9 @@ def reference_convergent_series(x, m, order):
     return taylor(q_deform(frac), order)
 
 
-def reference_stabilized_series(x, order, m_cap=M_CAP):
+def reference_stabilized_series(x, order):
     window = []
-    for m in range(1, m_cap + 1):
+    for m in itertools.count(1):
         try:
             series = reference_convergent_series(x, m, order)
         except NonPositive:
@@ -38,7 +38,6 @@ def reference_stabilized_series(x, order, m_cap=M_CAP):
         if len(window) == 3 and \
                 window[0][1] == window[1][1] == window[2][1]:
             return window[0][1], window[0][0]
-    raise StabilizationNotReached("not reached")
 
 
 def reference_agreement_orders(x, m_max, probe_order):
@@ -203,20 +202,6 @@ class TestMatchesPerConvergentRebuild:
         assert max(reference) < 400     # the probe never capped
         assert agreement_orders(x, 20) == reference
 
-    @pytest.mark.parametrize("m_cap", [1, 3, 4, 5, 8])
-    def test_small_m_cap(self, m_cap):
-        def outcome(fn, x):
-            try:
-                return fn(x, 10, m_cap)
-            except StabilizationNotReached:
-                return "not reached"
-
-        outcomes = [outcome(stabilized_series, x) for x in CFS]
-        assert outcomes == [outcome(reference_stabilized_series, x)
-                            for x in CFS]
-        if m_cap < 3:
-            assert set(outcomes) == {"not reached"}
-
     @pytest.mark.parametrize("x", CFS, ids=str)
     def test_radius_estimate(self, x):
         for m in range(2, 19):
@@ -265,9 +250,21 @@ class TestStabilizedSeries:
         with pytest.raises(ValueError):
             stabilized_series(GOLDEN, 0)
 
-    def test_not_reached(self):
-        with pytest.raises(StabilizationNotReached):
-            stabilized_series(GOLDEN, 10, m_cap=5)
+    def test_golden_order_300(self):
+        # the search has no cap on m; 301 convergents are needed here
+        series, m = stabilized_series(GOLDEN, 300)
+        assert m == 301
+        assert series.coeffs[:10] == stabilized_series(GOLDEN, 10)[0].coeffs
+
+    @pytest.mark.parametrize("x", CFS, ids=str)
+    def test_stable_within_bound(self, x):
+        # orders never fall after index 0 and orders[2k] >= k, so the
+        # first stable m is at most 2*order + 1
+        orders = agreement_orders(x, 2 * 60 + 3)
+        assert all(e1 <= e2 for e1, e2 in zip(orders[1:], orders[2:]))
+        assert all(orders[2 * k] >= k for k in range(len(orders) // 2))
+        for order in range(1, 61):
+            assert stabilized_series(x, order)[1] <= 2 * order + 1
 
     def test_other_quadratic_irrationals(self):
         for cf in (PeriodicCF((), (2,)), PeriodicCF((), (1, 2)),
