@@ -8,6 +8,7 @@ q = -t, applied entrywise by to_q_convention().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .laurent import LaurentPoly, ONE, Q, ZERO, _pack, _unpack, _width
 
@@ -178,60 +179,105 @@ def burau_generator(letter):
     raise WordParseError("bad braid letter %r" % (letter,))
 
 
-# Letters per packed block of rho3.  A block's fields are as wide as its
-# largest coefficient plus one bit per letter, so a longer block carries
-# more empty bits; a shorter one packs and unpacks more often.
+# Field headroom, in bits, per packed block of the product kernel.  A run
+# R_q^e or L_q^e takes bit_length(|e|) bits of it, so a block holds about
+# this many single letters.  A wider block carries more empty bits; a
+# narrower one packs and unpacks more often.
 _BLOCK = 96
 
 
 def rho3(word):
     """Left-to-right product of generator images; empty word gives Id.
 
-    Right-multiplication by a generator touches only two columns, so the
-    product is accumulated with shifts and adds instead of full 2x2
-    multiplications.  It runs in the q-convention, where s1, s2, s1^-1,
-    s2^-1 map to R_q, L_q^-1, R_q^-1, L_q and each letter costs two shifts
-    and two adds or subtracts, with no negation, on the entries packed
-    into integers one block of letters at a time.
+    The product runs in the q-convention, where s1, s2, s1^-1, s2^-1 map
+    to R_q, L_q^-1, R_q^-1, L_q.  Each maximal run of letters on one
+    generator is one power R_q^e or L_q^e, with e the run's exponent sum,
+    folded by fold_runs.
+    """
+    runs = []
+    for g, letters in groupby(word.letters, abs):
+        e = sum(letters)    # s2^+-1 letters sum to twice the L_q^-1 power
+        runs.append(("R", e) if g == 1 else ("L", -e // 2))
+    return QMatrix2(*(p.negate_variable() for p in fold_runs(runs)),
+                    variable="t")
+
+
+def fold_runs(runs):
+    """The q-convention entries (a, b, c, d) of the product of R_q^e or
+    L_q^e over the runs (generator, e), generator "R" or "L", left to
+    right; the identity for no runs.
+
+    Right-multiplication by a power touches only two columns, and powers
+    have closed forms: R_q^n has columns (q^n, 0) and ([n]_q, 1), L_q^n
+    has columns (1, q^(1-n) [n]_q) and (0, q^-n), and the inverses follow.
+    So a run costs a shift, a product by [n]_q and an add or subtract per
+    row, on the entries packed into integers one block of runs at a time;
+    a single letter costs two shifts and two adds, with no product.
     """
     entries = (ONE, ZERO, ZERO, ONE)
-    letters = word.letters
-    for start in range(0, len(letters), _BLOCK):
-        entries = _fold_block(entries, letters[start:start + _BLOCK])
-    return QMatrix2(*(p.negate_variable() for p in entries), variable="t")
+    block, room = [], 0
+    for run in runs:
+        if run[1]:
+            block.append(run)
+            room += abs(run[1]).bit_length()
+            if room >= _BLOCK:
+                entries = _fold_block(entries, block, room)
+                block, room = [], 0
+    return _fold_block(entries, block, room) if block else entries
 
 
-def _fold_block(entries, letters):
-    """The q-convention entries (a, b, c, d) times the images of the
-    letters.
+def _fold_block(entries, runs, room):
+    """The entries (a, b, c, d) times the powers of the runs, whose
+    exponents take `room` bits.
 
     The entries are packed at a shared lowest exponent `low`, so that
-    multiplying by q is a left shift by one field.  Dividing by q lowers
-    `low` instead and shifts the other operand left, so nothing shifts
-    right.  A letter at most doubles the largest |coefficient|, so fields
-    with room for its bit length plus one bit per letter cannot overflow.
+    multiplying by q^n is a left shift by n fields.  Dividing by q^n
+    lowers `low` instead and shifts the other operand left, so nothing
+    shifts right.  A power with exponent +-n multiplies the largest
+    |coefficient| by at most n + 1 <= 2**bit_length(n), so fields with
+    room for its bit length plus `room` bits cannot overflow.
     """
     live = [p for p in entries if p.coeffs]
     low = min(p.low for p in live)
     bits = max(max(map(int.bit_length, p.coeffs)) for p in live)
-    width = _width(bits + len(letters))
+    width = _width(bits + room)
     f = 8 * width
     a, b, c, d = (_pack(p.coeffs, width) << f * (p.low - low) if p.coeffs
                   else 0 for p in entries)
-    for g in letters:
-        if g == 1:       # M * [[q,1],[0,1]]
-            a, b = a << f, a + b
-            c, d = c << f, c + d
-        elif g == 2:     # M * [[1,0],[-q,q]]
-            b, d = b << f, d << f
-            a, c = a - b, c - d
-        elif g == -1:    # M * [[1/q,-1/q],[0,1]]
-            low -= 1
-            b, d = (b << f) - a, (d << f) - c
-        else:            # M * [[1,0],[1,1/q]]
-            low -= 1
-            a, c = (a + b) << f, (c + d) << f
+    for g, e in runs:
+        n = abs(e)
+        s = f * n
+        if g == "R":
+            if e > 0:    # M * [[q^n, [n]_q], [0, 1]]
+                a, b = a << s, _times_qint(a, n, f) + b
+                c, d = c << s, _times_qint(c, n, f) + d
+            else:        # M * q^-n [[1, -[n]_q], [0, q^n]]
+                low -= n
+                b = (b << s) - _times_qint(a, n, f)
+                d = (d << s) - _times_qint(c, n, f)
+        elif e > 0:      # M * q^-n [[q^n, 0], [q [n]_q, 1]]
+            low -= n
+            a = (a << s) + (_times_qint(b, n, f) << f)
+            c = (c << s) + (_times_qint(d, n, f) << f)
+        else:            # M * [[1, 0], [-q [n]_q, q^n]]
+            a, b = a - (_times_qint(b, n, f) << f), b << s
+            c, d = c - (_times_qint(d, n, f) << f), d << s
     return tuple(_unpack(x, low, width) for x in (a, b, c, d))
+
+
+def _times_qint(x, n, f):
+    """x * [n]_q for x packed in fields of f bits, by 2*log2(n) shifts and
+    adds at most: [2k]_q = (1 + q^k) [k]_q and [2k+1]_q = q [2k]_q + 1.
+    A product with the packed [n]_q would cost CPython's schoolbook
+    multiplication one pass over x per 30 bits of [n]_q's n fields."""
+    acc, k = x, 1
+    for bit in bin(n)[3:]:
+        acc += acc << f * k
+        k *= 2
+        if bit == "1":
+            acc = (acc << f) + x
+            k += 1
+    return acc
 
 
 _QMOD = {

@@ -9,13 +9,19 @@ Long operands multiply by Kronecker substitution: each coefficient
 sequence is packed into one integer, one field per coefficient, and
 CPython's big-integer product does the rest (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44, 2009).  ``braid.rho3`` runs on the same packed form.
+Comput. 44, 2009).  ``braid.fold_runs``, the one product of R_q and L_q
+powers (``braid.rho3``, ``qrational.rl_product``), runs on the same
+packed form.  Fields of 1, 2, 4 or 8 bytes pack and unpack in one C-level
+pass each, through ``array`` and ``memoryview``.
 """
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction as _QQ
+from functools import partial
 from itertools import cycle, repeat
 
 # Both factors need at least this many terms for the Kronecker product;
@@ -42,10 +48,18 @@ def _tuple(values):
     return tuple(list(values))
 
 
+# Field widths, in bytes, that array and memoryview hold as signed machine
+# integers, with their format codes: fields of these widths convert in one
+# C-level pass.  Fields are little-endian, so only there.
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" \
+    else {}
+
+
 def _width(bits):
     """Bytes per packed field, for coefficients of absolute value below
-    2**bits."""
-    return bits // 8 + 1
+    2**bits: 1, 2, 4 or 8 when that is enough, else bits // 8 + 1."""
+    width = bits // 8 + 1
+    return width if width > 8 else 1 << (width - 1).bit_length()
 
 
 def _bias(n, width):
@@ -53,28 +67,43 @@ def _bias(n, width):
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
+# Offset by _bias, every field of a packed integer holds c + 2**(8*width-1),
+# in [0, 2**(8*width)), so no carry crosses a field; flipping each field's
+# top bit then leaves c in two's complement, which these read and write.
+_signed_field = partial(int.from_bytes, byteorder="little", signed=True)
+
+
 def _pack(coeffs, width):
     """sum(c_i * 2**(8*width*i)): the coefficients as one integer, one field
     of `width` bytes each.  Every |c_i| must be below 2**(8*width - 1)."""
+    bias = _bias(len(coeffs), width)
+    if width in _FORMATS:
+        raw = array(_FORMATS[width], coeffs).tobytes()
+        return (int.from_bytes(raw, "little") ^ bias) - bias
     half = 1 << (8 * width - 1)
     raw = b"".join(map(int.to_bytes, map(half.__add__, coeffs),
                        repeat(width), repeat("little")))
-    return int.from_bytes(raw, "little") - _bias(len(coeffs), width)
+    return int.from_bytes(raw, "little") - bias
 
 
 def _unpack(x, low, width):
     """The LaurentPoly whose coefficients, from exponent `low` up, pack to
     x with fields of `width` bytes (the inverse of _pack)."""
-    # x packs m fields with |x| >= 2**(8*width*(m - 1) - 2), so n >= m
-    n = x.bit_length() // (8 * width) + 2
+    f = 8 * width
+    if x:       # skip the empty low fields, as a monomial q^k has k of them
+        skip = ((x & -x).bit_length() - 1) // f
+        x >>= f * skip
+        low += skip
+    # x packs m fields with |x| >= 2**(f*(m - 1) - 2), so n >= m
+    n = x.bit_length() // f + 2
     size = n * width
-    raw = (x + _bias(n, width)).to_bytes(size, "little")
+    bias = _bias(n, width)
+    raw = ((x + bias) ^ bias).to_bytes(size, "little")
+    if width in _FORMATS:
+        return LaurentPoly.make(low, memoryview(raw).cast(_FORMATS[width]))
     fields = map(raw.__getitem__, map(slice, range(0, size, width),
                                       range(width, size + width, width)))
-    half = 1 << (8 * width - 1)
-    return LaurentPoly.make(low, _tuple(map(half.__rsub__,
-                                            map(int.from_bytes, fields,
-                                                repeat("little")))))
+    return LaurentPoly.make(low, _tuple(map(_signed_field, fields)))
 
 
 @dataclass(frozen=True)

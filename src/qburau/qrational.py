@@ -8,12 +8,12 @@ displayed forms q/(1+q), (q+q^2)/(1+q+q^2), ...
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import cycle
 
 from .laurent import LaurentPoly, ONE, ZERO, Q
-from .braid import rho3
+from .braid import fold_runs, rho3
 from .cfrac import Frac, to_even_cf
 
 
@@ -50,30 +50,11 @@ class QRational:
                 "num": self.num.to_json(), "den": self.den.to_json()}
 
 
-def rl_products(terms):
-    """The running product R_q^a1 L_q^a2 R_q^a3 ... in q-convention over
-    any sequence of terms: yields its entries (a, b, c, d) after each term.
-
-    Generator powers have closed forms (R_q^a has columns (q^a, 0) and
-    ([a]_q, 1); L_q^a has columns (1, 1+...+q^(1-a)) and (0, q^-a)), so
-    each term costs one scalar-polynomial product per row.
-    """
-    a_, b_, c_, d_ = ONE, ZERO, ZERO, ONE
-    for i, a in enumerate(terms):
-        if i % 2 == 0:
-            qa = q_integer(a)
-            a_, b_ = a_.shift(a), a_ * qa + b_
-            c_, d_ = c_.shift(a), c_ * qa + d_
-        else:
-            x = q_integer(a).shift(1 - a)   # 1 + q^-1 + ... + q^(1-a)
-            a_, b_ = a_ + b_ * x, b_.shift(-a)
-            c_, d_ = c_ + d_ * x, d_.shift(-a)
-        yield a_, b_, c_, d_
-
-
 def rl_product(terms):
-    """The entries of the whole word R_q^a1 L_q^a2 ... (terms nonempty)."""
-    return deque(rl_products(terms), maxlen=1).pop()
+    """The entries (a, b, c, d) of R_q^a1 L_q^a2 R_q^a3 ... in q-convention,
+    for any terms; the identity for none.  One packed kernel,
+    braid.fold_runs, multiplies in each power in closed form."""
+    return fold_runs(zip(cycle("RL"), terms))
 
 
 def q_deform(x):

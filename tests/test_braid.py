@@ -97,6 +97,22 @@ class TestRho3:
             w = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(n)))
             assert rho3(w) == generator_product(w)
 
+    def test_long_runs_match_generator_products(self):
+        # runs of up to 60 letters on one generator, mixing its two signs
+        # in every fourth run, so that powers of every size and sign, and
+        # runs that cancel, reach the kernel
+        rng = random.Random(11)
+        for _ in range(30):
+            letters = []
+            while len(letters) < 300:
+                g = rng.choice((1, 2))
+                signs = (1, -1) if len(letters) % 4 == 0 else \
+                    (rng.choice((1, -1)),)
+                letters += [g * rng.choice(signs)
+                            for _ in range(rng.randint(1, 60))]
+            w = BraidWord(tuple(letters))
+            assert rho3(w) == generator_product(w)
+
     @pytest.mark.parametrize("text", ["aB", "ab", "AB", "Ab", "aaB", "bA"])
     def test_high_growth_powers(self, text):
         # coefficients of (aB)^k grow by about 0.7 bits per letter

@@ -3,7 +3,7 @@ from collections import namedtuple
 
 import pytest
 
-from qburau import cli
+from qburau import cli, rootloc
 from qburau.cli import main
 from qburau.stabilize import StabilizationNotReached
 
@@ -185,6 +185,16 @@ class TestOtherCommands:
         assert out.returncode == 0
         assert "stable_at_m: 301" in out.stdout
 
+    def test_stabilize_radius_past_float_range_exits_4(self, run):
+        # den coefficients of convergent 1600 span more than the float
+        # range, so the companion eigensolve refuses the matrix
+        out = run("stabilize", "--period", "1", "--order", "3",
+                  "--radius-m", "1600")
+        assert out.returncode == 4
+        assert "numerical failure: companion eigensolve failed" \
+            in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("preperiod", ["", "0"])
     def test_stabilize_integer_radius_convergent(self, run, preperiod):
         # convergent 2 is an integer, so its den has no root to estimate by
@@ -216,6 +226,15 @@ class TestOtherCommands:
         out = run("rlroots", "--m", "2")
         assert out.returncode == 0
         assert "min_distance_to_circle" in out.stdout
+
+    def test_rlroots_iteration_cap_exits_4(self, run, monkeypatch):
+        monkeypatch.setattr(rootloc, "_MAX_ITERATIONS", 2)
+        out = run("rlroots", "--m", "60")
+        assert out.returncode == 4
+        assert out.stdout == ""
+        assert "numerical failure: rl_power_roots(m=60), entry a" \
+            in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_rlroots_high_degree_finite(self, run):
         out = run("rlroots", "--m", "150")

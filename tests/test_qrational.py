@@ -11,7 +11,7 @@ from qburau.braid import BraidWord, QMatrix2, qmod_generator
 from qburau.cfrac import Frac, NonPositive, enumerate_fractions
 from qburau.qrational import (QRational, ZeroNumerator, burau_column_check,
                               jones, mirror_negate, q_deform, q_integer,
-                              q_one_over_n, reflect, rl_product, rl_products,
+                              q_one_over_n, reflect, rl_product,
                               singular_dens)
 
 
@@ -60,19 +60,57 @@ def generator_power_product(terms):
     return m
 
 
+def running_products(terms):
+    """The entries of R_q^a1 L_q^a2 R_q^a3 ... after each term, stepped
+    over tuples of Python ints with closed-form generator powers: R_q^a
+    has columns (q^a, 0) and ([a]_q, 1), L_q^a has columns
+    (1, 1 + ... + q^(1-a)) and (0, q^-a).  The reference for the packed
+    kernel."""
+    a_, b_, c_, d_ = ONE, ZERO, ZERO, ONE
+    for i, a in enumerate(terms):
+        if i % 2 == 0:
+            qa = q_integer(a)
+            a_, b_ = a_.shift(a), a_ * qa + b_
+            c_, d_ = c_.shift(a), c_ * qa + d_
+        else:
+            x = q_integer(a).shift(1 - a)
+            a_, b_ = a_ + b_ * x, b_.shift(-a)
+            c_, d_ = c_ + d_ * x, d_.shift(-a)
+        yield a_, b_, c_, d_
+
+
 class TestRLProducts:
     def test_prefixes_match_generator_powers(self):
         rng = random.Random(5)
         for _ in range(40):
             terms = [rng.randint(0, 4)] + [rng.randint(1, 6) for _ in
                                            range(rng.randint(0, 9))]
-            got = list(rl_products(terms))
-            assert len(got) == len(terms)
-            for k, entries in enumerate(got, 1):
-                assert entries == generator_power_product(terms[:k]).entries()
+            for k in range(1, len(terms) + 1):
+                assert rl_product(terms[:k]) == \
+                    generator_power_product(terms[:k]).entries()
 
-    def test_empty(self):
-        assert list(rl_products(())) == []
+    def test_matches_running_products(self):
+        # seeded terms: a first term of 0 in every fourth case, mostly
+        # small terms, and terms up to 10^4
+        rng = random.Random(18)
+        for case in range(100):
+            terms = [0 if case % 4 == 0 else rng.randint(1, 5)]
+            for _ in range(rng.randint(0, 14)):
+                terms.append(rng.randint(1, 6) if rng.random() < 0.85
+                             else rng.randint(1, 10 ** rng.randint(2, 4)))
+            want = list(running_products(terms))
+            for k in {1, len(terms) // 2 + 1, len(terms)}:
+                got = rl_product(terms[:k])
+                assert got == want[k - 1], terms[:k]
+                assert all(p.low == r.low and p.coeffs == r.coeffs
+                           for p, r in zip(got, want[k - 1]))
+
+    def test_large_terms(self):
+        terms = (10 ** 4, 3, 10 ** 4, 1, 7)
+        assert rl_product(terms) == list(running_products(terms))[-1]
+
+    def test_empty_is_identity(self):
+        assert rl_product(()) == (ONE, ZERO, ZERO, ONE)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 20, 64, 101, 150])
     def test_rl_power_matches_matrix_power(self, m):

@@ -1,5 +1,5 @@
+import cmath
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from qburau import rootloc
 from qburau.braid import qmod_generator
 from qburau.laurent import LaurentPoly, ZERO
 from qburau.cfrac import Frac, enumerate_fractions
-from qburau.qrational import q_deform, rl_product, rl_products
+from qburau.qrational import q_deform, rl_product
 from qburau.rootloc import (INNER_CONJ, INNER_PROVEN, OUTER_CONJ,
-                            NoConvergence, RootRecord, annulus_check,
-                            rl_power_roots, roots, sigma_sample)
+                            OUTER_PROVEN, NoConvergence, RootRecord,
+                            annulus_check, rl_power_roots, roots,
+                            sigma_sample)
 
 
 def P(low, *coeffs):
@@ -50,6 +51,15 @@ def reference_sigma_records(max_den, q_deforms, solve):
     records.sort(key=lambda rec: (rec.frac.s, rec.frac.r, rec.part,
                                   rec.root.real, rec.root.imag))
     return records
+
+
+def assert_same_roots(got, want, tol):
+    """got and want hold the same roots, each within tol of its match."""
+    assert len(got) == len(want)
+    left = list(want)
+    for z in got:
+        i = min(range(len(left)), key=lambda j: abs(left[j] - z))
+        assert abs(left.pop(i) - z) <= tol, z
 
 
 class TestRoots:
@@ -121,6 +131,12 @@ class TestRoots:
         # largest, so the float polynomial has lower degree
         with pytest.raises(NoConvergence):
             roots(P(0, 10 ** 400, 1))
+
+    def test_overflowing_companion_fails_closed(self):
+        # the leading coefficient scales to a subnormal float, so the
+        # companion matrix overflows to inf and the eigensolve refuses it
+        with pytest.raises(NoConvergence, match="eigensolve failed"):
+            roots(P(0, 10 ** 320, 1))
 
 
 class TestSigmaSample:
@@ -232,42 +248,116 @@ class TestRLPowerRoots:
             rl_power_roots(0)
 
     def test_c_is_q_times_b(self):
-        # (R_q L_q)^m after every second term of the running product
-        steps = islice(rl_products((1,) * 300), 1, None, 2)
-        for m, (_, b, c, _) in enumerate(steps, 1):
+        for m in range(1, 151):
+            _, b, c, _ = rl_product((1,) * (2 * m))
             assert c == b.shift(1), m
 
-    def test_one_solve_per_distinct_entry(self, monkeypatch):
-        solved = []
+    def test_a_is_reversed_next_d(self):
+        # a_m(q) = d_{m+1}(1/q) / q: a's roots are reciprocals of d_{m+1}'s
+        for m in range(1, 151):
+            a = rl_product((1,) * (2 * m))[0]
+            d_next = rl_product((1,) * (2 * m + 2))[3]
+            assert a == d_next.invert_variable().shift(-1), m
 
-        def counting_roots(poly):
-            solved.append(poly.coeffs)
-            return roots(poly)
+    @pytest.mark.parametrize("m", range(2, 151))
+    def test_b_c_closed_form(self, m):
+        # the roots of q^2 + (1 - 2 cos(k pi/m)) q + 1 for k = 1 .. m-1;
+        # near-double roots by the plain quadratic formula carry errors
+        # near the square root of the rounding error
+        want = []
+        for k in range(1, m):
+            beta = 1 - 2 * math.cos(k * math.pi / m)
+            root = cmath.sqrt(beta * beta - 4)
+            want += [(-beta - root) / 2, (-beta + root) / 2]
+        records, _ = rl_power_roots(m)
+        for label in "bc":
+            got = [z for lab, z, _ in records if lab == label]
+            assert_same_roots(got, want, 1e-7)
 
-        for m in range(1, 61):
-            entries = rl_product((1,) * (2 * m))
-            want = [(label, z, abs(abs(z) - INNER_CONJ))
-                    for label, poly in zip("abcd", entries)
-                    if len(poly.coeffs) > 1 for z in roots(poly)]
-            solved.clear()
-            monkeypatch.setattr(rootloc, "roots", counting_roots)
-            records, min_dist = rl_power_roots(m)
-            monkeypatch.undo()
-            assert records == want
-            assert min_dist == min(d for _, _, d in want)
-            assert sorted(solved) == sorted(
-                {p.coeffs for p in entries if len(p.coeffs) > 1})
+    @pytest.mark.parametrize("m", [3, 6, 30, 150])
+    def test_double_root_is_exact(self, m):
+        # 3 | m: k = 2m/3 gives (q + 1)^2, reported as -1 exactly, twice
+        records, _ = rl_power_roots(m)
+        for label in "bc":
+            assert sum(z == -1 for lab, z, _ in records if lab == label) == 2
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="float roots of high degree have large "
-                              "forward error; m = 99 reports |z| = 0.1689")
-    @pytest.mark.parametrize("m", [99, 150])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_a_d_match_companion_eigenvalues(self, m):
+        records, _ = rl_power_roots(m)
+        for label, poly in zip("abcd", rl_product((1,) * (2 * m))):
+            if label in "ad" and len(poly.coeffs) > 1:
+                want = np.roots(np.array(poly.coeffs[::-1], dtype=float))
+                got = [z for lab, z, _ in records if lab == label]
+                assert_same_roots(got, list(want), 1e-9)
+
+    def test_counts_separation_and_conjectured_annulus(self):
+        for m in range(2, 151):
+            records, _ = rl_power_roots(m)
+            for label, poly in zip("abcd", rl_product((1,) * (2 * m))):
+                zs = [z for lab, z, _ in records if lab == label]
+                assert len(zs) == max(len(poly.coeffs) - 1, 0), (m, label)
+                if label in "ad":
+                    z = np.array(zs)
+                    gaps = abs(z[:, None] - z[None, :]) + np.eye(len(z))
+                    assert gaps.min() > 1e-6, (m, label)
+            assert min(abs(z) for _, z, _ in records) > INNER_CONJ, m
+
+    def test_high_precision_cross_check(self):
+        # Newton at 60 digits from every reported root of m = 40 moves it
+        # by under 1e-12, and the polished roots stay distinct, so they are
+        # all the roots; their least moduli are mpmath's
+        mpmath = pytest.importorskip("mpmath")
+        records, _ = rl_power_roots(40)
+        least = {}
+        with mpmath.workdps(60):
+            for label, poly in zip("abcd", rl_product((1,) * 80)):
+                desc = list(reversed(poly.coeffs))
+                polished = []
+                for z in (z for lab, z, _ in records if lab == label):
+                    w = mpmath.mpc(z)
+                    for _ in range(3):
+                        value, slope = mpmath.polyval(desc, w, derivative=True)
+                        w -= value / slope
+                    assert abs(w - z) < 1e-12
+                    polished.append(w)
+                assert len(polished) == len(desc) - 1
+                assert min(abs(v - w) for i, v in enumerate(polished)
+                           for w in polished[:i]) > 1e-6
+                least[label] = float(min(abs(w) for w in polished))
+        assert round(least["d"], 5) == 0.38299
+        assert round(least["b"], 5) == 0.38302
+
+    def test_no_companion_eigenvalues(self, monkeypatch):
+        def refused(desc):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", refused)
+        records, _ = rl_power_roots(60)
+        assert len(records) == 8 * 60 - 8
+
+    def test_iteration_cap_fails_closed(self, monkeypatch):
+        monkeypatch.setattr(rootloc, "_MAX_ITERATIONS", 1)
+        with pytest.raises(NoConvergence) as info:
+            rl_power_roots(40)
+        message = str(info.value)
+        assert "m=40" in message and "entry a" in message
+        assert "after 1 iterations" in message
+        assert "cap" in message and "residual" in message
+
+    def test_coincident_roots_fail_closed(self, monkeypatch):
+        # every pair of roots coincides when the separation is 1e3 * |z|
+        monkeypatch.setattr(rootloc, "_SEPARATION", 1e3)
+        with pytest.raises(NoConvergence, match="two roots coincide"):
+            rl_power_roots(10)
+
+    @pytest.mark.parametrize("m", range(30, 151))
     def test_roots_in_proven_annulus(self, m):
         # the entries are nums and dens of q-analogs of Fibonacci ratios,
         # num roots are reciprocals of den roots, and the proven annulus
         # 3-2*sqrt2 <= |q| <= 3+2*sqrt2 is closed under inversion
         records, _ = rl_power_roots(m)
-        assert min(abs(z) for _, z, _ in records) >= INNER_PROVEN
+        moduli = [abs(z) for _, z, _ in records]
+        assert INNER_PROVEN <= min(moduli) and max(moduli) <= OUTER_PROVEN
 
     @pytest.mark.parametrize("m", [55, 75, 80, 110, 150])
     def test_high_degree(self, m):
