@@ -212,7 +212,7 @@ def fold_runs(runs):
     has columns (1, q^(1-n) [n]_q) and (0, q^-n), and the inverses follow.
     So a run costs a shift, a product by [n]_q and an add or subtract per
     row, on the entries packed into integers one block of runs at a time;
-    a single letter costs two shifts and two adds, with no product.
+    for a single letter the product is the operand itself.
     """
     entries = (ONE, ZERO, ZERO, ONE)
     block, room = [], 0

@@ -50,7 +50,8 @@ def _tuple(values):
 
 # Field widths, in bytes, that array and memoryview hold as signed machine
 # integers, with their format codes: fields of these widths convert in one
-# C-level pass.  Fields are little-endian, so only there.
+# C-level pass.  Packed fields are little-endian, so only on machines that
+# store integers that way.
 _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" \
     else {}
 
