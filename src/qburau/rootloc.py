@@ -309,6 +309,7 @@ def _aberth(m):
     root = np.sqrt((b * b - 4).astype(complex))
     z = np.concatenate([-b - root, -b + root]) / 2
     z = np.delete(z, np.argmax(abs(z)))
+    real = z.imag == 0
     active = np.arange(len(z))
     with np.errstate(all="ignore"):
         for sweep in range(1, _MAX_ITERATIONS + 1):
@@ -323,6 +324,10 @@ def _aberth(m):
                 break
         else:
             return z, _MAX_ITERATIONS, "Aberth iteration cap reached"
+    # the starts are closed under conjugation and d_m is real, so a real
+    # start stays real in exact arithmetic: drop its rounding-level
+    # imaginary part
+    z[real] = z[real].real
     for lo, diff in _differences(z, np.arange(len(z))):
         if np.any(abs(diff) <= _SEPARATION * abs(z[lo:lo + len(diff), None])):
             return z, sweep, "two roots coincide"

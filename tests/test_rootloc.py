@@ -311,6 +311,13 @@ class TestRLPowerRoots:
                     assert gaps.min() > 1e-6, (m, label)
             assert min(abs(z) for _, z, _ in records) > INNER_CONJ, m
 
+    @pytest.mark.parametrize("m", [1, 3, 10, 40, 150])
+    def test_real_roots_are_real(self, m):
+        # no real root carries a rounding-level imaginary part
+        zs = [z for _, z, _ in rl_records(m)]
+        assert sum(z.imag == 0 for z in zs) == \
+            sum(abs(z.imag) < 1e-9 for z in zs) > 0
+
     def test_high_precision_cross_check(self):
         # Newton at 40 digits from every reported root of m = 40 moves it
         # by under 1e-12, and the polished roots stay distinct, so they are
