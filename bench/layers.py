@@ -4,7 +4,10 @@ Times, on one source tree:
 
 - ``rl_power_roots(m)`` for every m in 20..105;
 - ``q_deform`` on the Fibonacci ratios F(n+1)/F(n), n = 50, 100, ..., 350;
-- ``rho3`` on seeded random words of 200, 800 and 1600 letters.
+- ``rho3`` on seeded random words of 200, 800 and 1600 letters;
+- the Kronecker ``LaurentPoly`` product of two seeded operands of 200 or
+  2000 terms, whose coefficients are sized for each packed field width
+  of 2 to 9 and 13 bytes.
 
 Each figure is the median over REPEAT calls after one warm-up call, in
 milliseconds.  A call that raises is recorded with the exception's name
@@ -33,6 +36,8 @@ RL_M = range(20, 106)
 FIB_N = range(50, 351, 50)
 WORD_LETTERS = (200, 800, 1600)
 WORDS = 5
+MUL_TERMS = (200, 2000)
+MUL_WIDTHS = (2, 3, 4, 5, 6, 7, 8, 9, 13)
 
 
 def timed(call):
@@ -75,10 +80,12 @@ def main(argv=None):
     import numpy
     from qburau.braid import BraidWord, rho3
     from qburau.cfrac import Frac
+    from qburau.laurent import LaurentPoly, _width
     from qburau.qrational import q_deform
     from qburau.rootloc import rl_power_roots
 
-    results = {"rl_power_roots": [], "q_deform_fibonacci": [], "rho3": []}
+    results = {"rl_power_roots": [], "q_deform_fibonacci": [], "rho3": [],
+               "kronecker_mul": []}
     for m in RL_M:
         ms, failure = timed(lambda: rl_power_roots(m))
         results["rl_power_roots"].append(
@@ -100,6 +107,22 @@ def main(argv=None):
         results["rho3"].append({"letters": letters, "words": WORDS,
                                 "median_ms": round(ms / WORDS, 4),
                                 "failure": failure})
+    for terms in MUL_TERMS:
+        spread = terms.bit_length()
+        for width in MUL_WIDTHS:
+            # coefficients of k bits: the product's fields take
+            # 2k + bit_length(terms) bits, the least that needs `width`
+            # bytes; field_bytes is the width the library packs them in
+            k = max(1, -(-(8 * (width - 1) - spread) // 2))
+            p, r = (LaurentPoly.make(0, [rng.choice((-1, 1))
+                                         * rng.randrange(1 << (k - 1), 1 << k)
+                                         for _ in range(terms)])
+                    for _ in range(2))
+            ms, failure = timed(lambda: p * r)
+            results["kronecker_mul"].append(
+                {"terms": terms, "width": width, "coeff_bits": k,
+                 "field_bytes": _width(2 * k + spread),
+                 "median_ms": round(ms, 4), "failure": failure})
 
     sha = revision(root)
     report = {

@@ -256,6 +256,28 @@ class TestRLPowerRoots:
         with pytest.raises(ValueError):
             rl_power_roots(0)
 
+    def test_one_solve_per_distinct_entry(self, monkeypatch):
+        solved = []
+        solve = rootloc._rl_entry_roots
+
+        def counting_solve(m, label, coeffs):
+            solved.append(coeffs)
+            return solve(m, label, coeffs)
+
+        monkeypatch.setattr(rootloc, "_rl_entry_roots", counting_solve)
+        for m in range(1, 41):
+            solved.clear()
+            entries = rl_product((1,) * (2 * m))
+            records, min_dist = rl_power_roots(m)
+            # c = q*b reuses b's roots: one solve per distinct entry
+            assert sorted(solved) == sorted(
+                {p.coeffs for p in entries if len(p.coeffs) > 1})
+            assert [z for lab, z, _ in records if lab == "c"] == \
+                [z for lab, z, _ in records if lab == "b"]
+            assert all(dist == abs(abs(z) - INNER_CONJ)
+                       for _, z, dist in records)
+            assert min_dist == min(dist for _, _, dist in records)
+
     def test_c_is_q_times_b(self):
         for m in range(1, 151):
             _, b, c, _ = rl_product((1,) * (2 * m))
