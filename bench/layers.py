@@ -136,6 +136,7 @@ def main(argv=None):
                       for name, rows in results.items()},
     }
     out = Path(args.out) / ("BENCH_%s.json" % sha)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1) + "\n")
     print("%s: %s" % (out, json.dumps(report["totals_ms"])))
 
