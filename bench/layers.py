@@ -1,13 +1,24 @@
-"""Layer timings of the product kernel and the (R_q L_q)^m root solver.
+"""Layer timings of the exact kernels and the float root solvers.
 
 Times, on one source tree:
 
 - ``rl_power_roots(m)`` for every m in 20..105;
-- ``q_deform`` on the Fibonacci ratios F(n+1)/F(n), n = 50, 100, ..., 350;
+- ``q_deform`` on the Fibonacci ratios F(n+1)/F(n), n = 50, 100, ..., 350,
+  and on the single terms n/1, n = 10^4, 10^5, 10^6;
+- ``stabilized_series`` on the periods (10^6) and (10^6, 10^6) at orders
+  3 and 10;
 - ``rho3`` on seeded random words of 200, 800 and 1600 letters;
 - the Kronecker ``LaurentPoly`` product of two seeded operands of 200 or
   2000 terms, whose coefficients are sized for each packed field width
-  of 2 to 9 and 13 bytes.
+  of 2 to 9 and 13 bytes;
+- the packed codec's ``_unpack`` of 10^3 and 10^5 seeded fields of 1 to
+  10 bytes;
+- the ``LaurentPoly`` sum of two seeded, half-overlapping operands of
+  200 or 2000 terms;
+- ``roots()`` and the residuals ``rootloc._residuals`` of those roots,
+  on the golden-ratio convergent dens of degree 10, 40 and 100;
+- ``taylor`` to orders 60 and 300 of the golden-ratio convergent that
+  ``stabilized_series`` deforms there.
 
 Each figure is the median over REPEAT calls after one warm-up call, in
 milliseconds.  A call that raises is recorded with the exception's name
@@ -38,6 +49,14 @@ WORD_LETTERS = (200, 800, 1600)
 WORDS = 5
 MUL_TERMS = (200, 2000)
 MUL_WIDTHS = (2, 3, 4, 5, 6, 7, 8, 9, 13)
+HUGE_TERMS = (10 ** 4, 10 ** 5, 10 ** 6)
+HUGE_PERIODS = ((10 ** 6,), (10 ** 6, 10 ** 6))
+SERIES_ORDERS = (3, 10)
+UNPACK_FIELDS = (10 ** 3, 10 ** 5)
+UNPACK_WIDTHS = range(1, 11)
+ADD_TERMS = (200, 2000)
+ROOT_DEGREES = (10, 40, 100)
+TAYLOR_ORDERS = (60, 300)
 
 
 def timed(call):
@@ -80,12 +99,16 @@ def main(argv=None):
     import numpy
     from qburau.braid import BraidWord, rho3
     from qburau.cfrac import Frac
-    from qburau.laurent import LaurentPoly, _width
+    from qburau.laurent import LaurentPoly, _pack, _unpack, _width
     from qburau.qrational import q_deform
-    from qburau.rootloc import rl_power_roots
+    from qburau.rootloc import _floats, _residuals, rl_power_roots, roots
+    from qburau.stabilize import (GOLDEN, PeriodicCF, convergent,
+                                  stabilized_series, taylor)
 
     results = {"rl_power_roots": [], "q_deform_fibonacci": [], "rho3": [],
-               "kronecker_mul": []}
+               "kronecker_mul": [], "q_deform_term": [],
+               "stabilized_series_term": [], "unpack": [], "laurent_add": [],
+               "roots": [], "residuals": [], "taylor": []}
     for m in RL_M:
         ms, failure = timed(lambda: rl_power_roots(m))
         results["rl_power_roots"].append(
@@ -123,6 +146,51 @@ def main(argv=None):
                 {"terms": terms, "width": width, "coeff_bits": k,
                  "field_bytes": _width(2 * k + spread),
                  "median_ms": round(ms, 4), "failure": failure})
+    for n in HUGE_TERMS:
+        x = Frac(n, 1)
+        ms, failure = timed(lambda: q_deform(x))
+        results["q_deform_term"].append(
+            {"n": n, "median_ms": round(ms, 4), "failure": failure})
+    for period in HUGE_PERIODS:
+        for order in SERIES_ORDERS:
+            x = PeriodicCF((), period)
+            ms, failure = timed(lambda: stabilized_series(x, order))
+            results["stabilized_series_term"].append(
+                {"period": period, "order": order,
+                 "median_ms": round(ms, 4), "failure": failure})
+    for fields in UNPACK_FIELDS:
+        for width in UNPACK_WIDTHS:
+            top = 1 << (8 * width - 1)
+            packed = _pack([rng.randrange(-top, top) for _ in range(fields)],
+                           width)
+            ms, failure = timed(lambda: _unpack(packed, 0, width))
+            results["unpack"].append(
+                {"fields": fields, "width": width,
+                 "median_ms": round(ms, 4), "failure": failure})
+    for terms in ADD_TERMS:
+        p, r = (LaurentPoly.make(low, [rng.randint(-99, 99)
+                                       for _ in range(terms)])
+                for low in (0, terms // 2))
+        ms, failure = timed(lambda: p + r)
+        results["laurent_add"].append(
+            {"terms": terms, "median_ms": round(ms, 4), "failure": failure})
+    for degree in ROOT_DEGREES:
+        # the golden-ratio convergent m has a den of degree m - 2
+        den = q_deform(convergent(GOLDEN, degree + 2)).den
+        ms, failure = timed(lambda: roots(den))
+        results["roots"].append(
+            {"degree": degree, "median_ms": round(ms, 4), "failure": failure})
+        if failure is None:
+            coeffs, z = _floats(den.coeffs), numpy.array(roots(den))
+            ms, failure = timed(lambda: _residuals(coeffs, z))
+            results["residuals"].append(
+                {"degree": degree, "median_ms": round(ms, 4),
+                 "failure": failure})
+    for order in TAYLOR_ORDERS:
+        qr = q_deform(convergent(GOLDEN, stabilized_series(GOLDEN, order)[1]))
+        ms, failure = timed(lambda: taylor(qr, order))
+        results["taylor"].append(
+            {"order": order, "median_ms": round(ms, 4), "failure": failure})
 
     sha = revision(root)
     report = {

@@ -11,13 +11,14 @@ CPython's big-integer product does the rest (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic
 Comput. 44, 2009).  ``braid.fold_runs``, the one product of R_q and L_q
 powers (``braid.rho3``, ``qrational.rl_product``), runs on the same
-packed form.  Fields of at most 8 bytes unpack in a few C-level passes,
-through machine integers and ``memoryview``.
+packed form.  One bytes codec packs and unpacks both, a field at a
+time, so a huge continued-fraction term is slow to deform:
+``q_deform(Frac(10**6, 1))`` unpacks two entries of 10**6 fields in
+about 0.6 s (CPython 3.11 on a 2-CPU x86_64 machine).
 """
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction as _QQ
 from itertools import cycle, repeat
@@ -77,43 +78,13 @@ def _unpack(x, low, width):
     # x packs m fields with |x| >= 2**(f*(m - 1) - 2), so n >= m
     n = x.bit_length() // f + 2
     size = n * width
-    bias = _bias(n, width)
-    if width <= _MACHINE_WIDTH:
-        return LaurentPoly.make(low, _machine_ints((x + bias) ^ bias, n,
-                                                   width))
-    raw = (x + bias).to_bytes(size, "little")
+    raw = (x + _bias(n, width)).to_bytes(size, "little")
     fields = map(raw.__getitem__, map(slice, range(0, size, width),
                                       range(width, size + width, width)))
     half = 1 << (8 * width - 1)
     return LaurentPoly.make(low, _tuple(map(half.__rsub__,
                                             map(int.from_bytes, fields,
                                                 repeat("little")))))
-
-
-# Fields of up to this many bytes fit a machine integer; _machine_ints
-# lays bytes out little-endian, so only where integers are stored so.
-_MACHINE_WIDTH = 8 if sys.byteorder == "little" else 0
-_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
-# 0xff for a byte with its top bit set, else 0: a field's sign extension
-_SIGN = bytes(128) + b"\xff" * 128
-
-
-def _machine_ints(x, n, width):
-    """The n fields of `width` <= 8 bytes of x, each in two's complement,
-    as signed machine integers of 1, 2, 4 or 8 bytes.  Each byte position
-    moves by one strided slice, the top byte's sign fills the rest, and
-    memoryview reads every field in one C-level pass.  Read one by one,
-    a field costs a few Python calls: q_deform(10**6), two entries of
-    10**6 terms, took 0.96 s that way against 0.11 s."""
-    raw = x.to_bytes(n * width, "little")
-    slot = 1 << (width - 1).bit_length()
-    ints = bytearray(n * slot)
-    for i in range(width):
-        ints[i::slot] = raw[i::width]
-    sign = raw[width - 1::width].translate(_SIGN)
-    for i in range(width, slot):
-        ints[i::slot] = sign
-    return memoryview(ints).cast(_FORMATS[slot])
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ R_q^a1 L_q^a2 ... of determinant q^(a1 - a2 + a3 - ...), so their
 expansions agree on exactly as many coefficients as an exponent read off
 the terms with integer arithmetic (``agreement_orders``).  Stabilization
 is decided from these exponents, and only the convergent returned is
-deformed and expanded.
+deformed and expanded, with every term clipped at order + 1.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cfrac import cf_value
 from .laurent import LaurentPoly
 from .qrational import q_deform
-from .rootloc import roots
+from .rootloc import NoConvergence, roots
 
 class NonUnitConstantTerm(ArithmeticError):
     """Series division needs a +-1 constant term in the denominator."""
@@ -99,13 +99,30 @@ def stabilized_series(x, order):
     as orders[2k] >= k in agreement_orders: with g = lc - ld, an L step
     leaves g <= 1, the next R step (term >= 1) lowers no order and leaves
     g >= 1, and the L step after it (term b >= 1) adds g + b - 1 >= 1.
+
+    m is found on the terms as they are, but convergent m is deformed
+    with every term clipped at K + 1, K = order, which leaves its first
+    K coefficients as they are, so a huge term costs no more than a
+    term K + 1.
+    By [a1, a2, ...]_q = [a1]_q + q^a1 / ([a2]_(q^-1) + q^-a2 / ([a3]_q
+    + ...)) (Morier-Genoud and Ovsienko, Forum Math. Sigma 8, 2020),
+    write T_j for the tail from term j.  At an R position (j odd),
+    T_j = [a_j]_q + q^a_j / T_(j+1) = [K+1]_q mod q^(K+1) once
+    a_j >= K+1, as 1/T_(j+1) has no negative power.  An L position
+    reaches the level above only through 1/T_j = q^a_j / (q [a_j]_q +
+    1/T_(j+1)), q^a_j over a unit, which is 0 mod q^(K+1) once
+    a_j >= K+1.  For the last term it is q^(a_j - 1) / [a_j]_q, 0 only
+    mod q^K, so the clip is at K + 1 and not K.  Each level outward keeps
+    its relative precision: a unit is inverted to the precision it is
+    known to, and a factor q^a loses none, so x's series agree mod q^K.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     orders = agreement_orders(x, 2 * order + 3)
     for m, (e1, e2) in enumerate(zip(orders, orders[1:]), 1):
         if e1 >= order and e2 >= order:
-            return taylor(q_deform(convergent(x, m)), order), m
+            clipped = [min(a, order + 1) for a in x.terms(m)]
+            return taylor(q_deform(cf_value(clipped)), order), m
     raise StabilizationNotReached("no stable prefix of order %d within "
                                   "the bound m <= %d" % (order, 2 * order + 1))
 
@@ -162,7 +179,10 @@ def radius_estimate(x, m):
     1/k^2 with a parity oscillation, so the estimate Richardson-
     extrapolates the proxies at m and m-2 (same parity).  When the
     shorter convergent is 0 or has a constant denominator the raw proxy at
-    m is returned unchanged.
+    m is returned unchanged.  A radius is positive, so an extrapolated
+    value <= 0 raises NoConvergence: the step itself gives one at m = 8
+    for some x (the golden ratio's proxy at m = 6 is 1.0), and lost float
+    roots of high degree give more (the golden ratio at m = 200).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -170,4 +190,9 @@ def radius_estimate(x, m):
     if math.isinf(prev) or math.isinf(cur):
         return cur
     weight = m * m / (m * m - (m - 2) * (m - 2))
-    return weight * cur - (weight - 1) * prev
+    value = weight * cur - (weight - 1) * prev
+    if value <= 0:
+        raise NoConvergence("radius_estimate(m=%d): extrapolated %.10g "
+                            "from proxies %.10g at m - 2 and %.10g at m"
+                            % (m, value, prev, cur))
+    return value

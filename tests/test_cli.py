@@ -195,6 +195,17 @@ class TestOtherCommands:
             in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_stabilize_negative_radius_exits_4(self, run):
+        # the golden ratio's proxies 1.0 at m = 6 and 0.531 at m = 8
+        # extrapolate to -0.072; radius_estimate's tests also pin m = 200
+        out = run("stabilize", "--period", "1", "--order", "3",
+                  "--radius-m", "8")
+        assert out.returncode == 4
+        assert out.stdout == ""
+        assert "numerical failure: radius_estimate(m=8): extrapolated " \
+            "-0.07197701381" in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("preperiod", ["", "0"])
     def test_stabilize_integer_radius_convergent(self, run, preperiod):
         # convergent 2 is an integer, so its den has no root to estimate by

@@ -278,10 +278,22 @@ class TestFastPaths:
         assert _unpack(packed, low, width) == LaurentPoly.make(low, coeffs)
 
     def test_pack_field_boundaries(self):
-        # widths up to 8 unpack through machine integers, wider ones not
+        # every field width up to 10 bytes, at both ends of its range
         for width in range(1, 11):
             top = 2 ** (8 * width - 1)
             for coeffs in ([top - 1, -top, top - 1], [-top, -top], [-1] * 9,
                            [0, -top, 0, 0], [top - 1] * 4):
                 assert _unpack(_pack(coeffs, width), 3, width) == \
                     LaurentPoly.make(3, coeffs)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_unpack_many_narrow_fields(self, width):
+        # 10^5 fields of either sign after 1000 empty low fields, which
+        # the unpack skips; the shape of the entries of a product with a
+        # huge continued-fraction term
+        top = 2 ** (8 * width - 1)
+        coeffs = [0] * 1000 + [i * 40503 % (2 * top) - top
+                               for i in range(10 ** 5)]
+        coeffs[1000], coeffs[-1] = -top, top - 1
+        assert _unpack(_pack(coeffs, width), -7, width) == \
+            LaurentPoly.make(-7, coeffs)

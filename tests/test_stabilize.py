@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from qburau.cfrac import Frac, NonPositive
+from qburau.cfrac import Frac, NonPositive, cf_value, to_even_cf
 from qburau.laurent import LaurentPoly, ONE
 from qburau import stabilize
 from qburau.qrational import QRational, q_deform, rl_product
-from qburau.rootloc import roots
+from qburau.rootloc import NoConvergence, roots
 from qburau.stabilize import (GOLDEN, NonUnitConstantTerm, PeriodicCF,
                               PowerSeries, agreement_orders, convergent,
                               radius_estimate, stabilized_series, taylor)
@@ -207,8 +207,15 @@ class TestMatchesPerConvergentRebuild:
 
     @pytest.mark.parametrize("x", CFS, ids=str)
     def test_radius_estimate(self, x):
+        # a reference value <= 0 fails closed (5 of the 476 cases, all at
+        # m = 8, where the Richardson step overshoots)
         for m in range(2, 19):
-            assert radius_estimate(x, m) == reference_radius_estimate(x, m)
+            reference = reference_radius_estimate(x, m)
+            if reference <= 0:
+                with pytest.raises(NoConvergence):
+                    radius_estimate(x, m)
+            else:
+                assert radius_estimate(x, m) == reference
 
 
 class TestStabilizedSeries:
@@ -244,10 +251,17 @@ class TestStabilizedSeries:
         stabilized_series(PeriodicCF((0, 2), (1, 3)), 30)
         assert calls == {"q_deform": 1, "taylor": 1}
 
-    def test_large_term(self):
-        # [10^6]_q is expanded once, not compared against its neighbours
-        series, m = stabilized_series(PeriodicCF((), (10 ** 6,)), 3)
-        assert (series.coeffs, m) == ((1, 1, 1), 1)
+    @pytest.mark.parametrize("pre, per, order, expected", [
+        ((), (10 ** 6,), 3, ((1, 1, 1), 1)),
+        ((), (10 ** 6, 10 ** 6), 3, ((1, 1, 1), 1)),
+        ((), (10 ** 6, 10 ** 6), 10, ((1,) * 10, 1)),
+        ((0, 10 ** 6), (1,), 3, ((0, 0, 0), 2)),
+        ((0, 10 ** 6), (1,), 10, ((0,) * 10, 2))])
+    def test_large_term(self, pre, per, order, expected):
+        # each term is clipped at order + 1 before the deformation, so no
+        # [10^6]_q is built; the values are those of the unclipped terms
+        series, m = stabilized_series(PeriodicCF(pre, per), order)
+        assert (series.coeffs, m) == expected
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
@@ -274,6 +288,54 @@ class TestStabilizedSeries:
                    PeriodicCF((1, 2), (3,))):
             series, m = stabilized_series(cf, 8)
             assert series.order == 8 and m <= 50
+
+
+class TestClippedTerms:
+    """The first K coefficients of a q-rational depend on each term a
+    only through min(a, K + 1)."""
+
+    def test_exhaustive(self):
+        checked = 0
+        for length in range(1, 5):
+            for terms in itertools.product(range(4), *[range(1, 6)]
+                                           * (length - 1)):
+                frac = cf_value(terms)
+                if not frac.is_positive():
+                    continue
+                qr = q_deform(frac)
+                for order in range(1, 7):
+                    clipped = tuple(min(a, order + 1) for a in terms)
+                    if clipped != terms:
+                        assert taylor(qr, order) == \
+                            taylor(q_deform(cf_value(clipped)), order), \
+                            (terms, order)
+                        checked += 1
+        assert checked == 1327
+
+    def test_clip_at_order_is_not_enough(self):
+        # the last term b of an L position reaches the series as
+        # q^(b-1)/[b]_q, so b = 5 is seen at order 5 and b = 6 is not
+        far = taylor(q_deform(cf_value([0, 100])), 5)
+        assert far == taylor(q_deform(cf_value([0, 6])), 5)
+        assert far.coeffs == (0, 0, 0, 0, 0)
+        assert taylor(q_deform(cf_value([0, 5])), 5).coeffs == \
+            (0, 0, 0, 0, 1)
+
+    @pytest.mark.parametrize("pre, per", [((), (10 ** 6,)),
+                                          ((), (10 ** 6, 10 ** 6)),
+                                          ((0, 10 ** 6), (1,))])
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    def test_deformed_terms_are_clipped(self, monkeypatch, pre, per, order):
+        seen = []
+
+        def recorded(frac):
+            seen.append(frac)
+            return q_deform(frac)
+
+        monkeypatch.setattr(stabilize, "q_deform", recorded)
+        stabilized_series(PeriodicCF(pre, per), order)
+        assert len(seen) == 1
+        assert max(to_even_cf(seen[0]).a) <= order + 1
 
 
 class TestRadiusEstimate:
@@ -307,6 +369,21 @@ class TestRadiusEstimate:
     def test_rejects(self):
         with pytest.raises(ValueError):
             radius_estimate(GOLDEN, 1)
+
+    @pytest.mark.parametrize("m, value", [(8, "-0.07197701381"),
+                                          (200, "-0.1264700537")])
+    def test_non_positive_fails_closed(self, m, value):
+        # m = 8: the Richardson step overshoots from the proxy 1.0 at
+        # m = 6; m = 200: the float den roots are lost
+        with pytest.raises(NoConvergence,
+                           match=r"m=%d\): extrapolated %s from proxies"
+                           % (m, value)):
+            radius_estimate(GOLDEN, m)
+
+    def test_rounding_above_one_is_kept(self):
+        # no upper guard: the proxies 1.0 at m = 4 and 6 extrapolate to
+        # 1.0000000000000009 by rounding
+        assert radius_estimate(GOLDEN, 6) == 1.0000000000000009
 
 
 class TestPowerSeriesRendering:
